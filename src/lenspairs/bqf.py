@@ -162,7 +162,12 @@ def window_bound(form: QuadForm, m: int, cap: int = 10 ** 6) -> WindowBound:
     """
     if m == 0:
         raise ValueError("m must be nonzero")
-    t = fundamental_unit(form.delta, cap).trace()
+    return _window(form, m, fundamental_unit(form.delta, cap))
+
+
+def _window(form: QuadForm, m: int, unit: UnitElement) -> WindowBound:
+    # window_bound for an already computed fundamental unit
+    t = unit.trace()
     shift = -2 if form.A * m > 0 else 2
     w_squared = Fraction(abs(form.A * m * (t + shift)), form.delta)
     floor = isqrt(w_squared.numerator * w_squared.denominator) // w_squared.denominator
@@ -192,7 +197,11 @@ def orbit_representatives(form: QuadForm, m: int, cap: int = 10 ** 6) -> list[Fo
     boundaries y = 0 and y = W (W integral) the two roots lie in one orbit,
     so only one of them is kept; everywhere else each root is its own orbit.
     """
-    window = window_bound(form, m, cap)
+    return _representatives(form, m, window_bound(form, m, cap))
+
+
+def _representatives(form: QuadForm, m: int, window: WindowBound) -> list[FormSolution]:
+    # orbit_representatives for an already computed window
     reps = []
     for y in range(window.floor + 1):
         roots = _roots_in_x(form, m, y)
@@ -239,10 +248,12 @@ def generate_solutions(form: QuadForm, m: int, count: int, cap: int = 10 ** 6) -
     """
     if count < 1:
         return []
-    reps = orbit_representatives(form, m, cap)
+    if m == 0:
+        raise ValueError("m must be nonzero")
+    tau = fundamental_unit(form.delta, cap)
+    reps = _representatives(form, m, _window(form, m, tau))
     if not reps:
         return []
-    tau = fundamental_unit(form.delta, cap)
     out = []
     for rep in reps:
         chain = [rep]

@@ -150,65 +150,66 @@ class NotLens:
 SurgeryResult = Lens | ReducibleTwoLens | NotLens
 
 
+def _lens_slopes(family: str, params: tuple[int, ...], den: int = 1) -> list[tuple[int, int]]:
+    """The lens slopes m/den of a knot as pairs (m, q): m/den-surgery gives L(m, q).
+
+    q is reduced mod m.  This is the one place that holds each family's
+    surgery formulas; ``lens_surgery``, ``natural_slope`` and the coincidence
+    search all read them from here.
+    """
+    if family == "torus":
+        p, q = params
+        slopes = [(den * p * q - 1, den * q * q), (den * p * q + 1, den * q * q)]
+    elif family not in FAMILIES:
+        raise InvalidKnot(f"unknown family {family!r}")
+    elif den != 1:
+        return []
+    elif family == "cable":
+        a, b, eps = params
+        slopes = [(4 * a * b + eps, 4 * b * b)]
+    elif family == "kplus":
+        a, b = params
+        order = a * a + a * b + b * b
+        w = a * pow(b, -1, order)
+        slopes = [(order, w * w)]
+    elif family == "tangleHH":
+        (n,) = params
+        slopes = [(27 * n * n + 45 * n + 21, -(9 * n * n + 12 * n + 5))]
+    else:
+        (n,) = params
+        slopes = [(18 * n * n + 33 * n + 15, -(18 * n + 19))]
+    return [(m, q % m) for m, q in slopes]
+
+
 def lens_surgery(knot: KnotDescriptor, slope: SurgerySlope) -> SurgeryResult:
     """Evaluate m/n-surgery on the knot into the lens trichotomy."""
     if slope.m <= 0:
         raise ValueError("only positive slopes are modelled")
-    fam = knot.family
-    if fam == "torus":
+    for m, q in _lens_slopes(knot.family, knot.params, slope.n):
+        if m == slope.m:
+            return Lens(make_lens(m, q))
+    if knot.family == "torus":
         p, q = knot.params
-        if abs(slope.n * p * q - slope.m) == 1:
-            return Lens(make_lens(slope.m, slope.n * q * q))
         if slope.n == 1 and slope.m == p * q:
             return ReducibleTwoLens(p, q)
         return NotLens("slope-condition-fails")
-    if fam == "cable":
-        a, b, eps = knot.params
-        if slope.n == 1 and slope.m == 4 * a * b + eps:
-            return Lens(make_lens(slope.m, 4 * b * b))
-        if slope.n == 1 and slope.m == 4 * a * b + 2 * eps:
+    if knot.family == "cable":
+        ((m, _),) = _lens_slopes("cable", knot.params)
+        if slope.n == 1 and slope.m == m + knot.params[2]:
             return NotLens(
                 "unknown-for-family",
                 note="cabling slope: reducible filling with a lens space summand",
             )
         return NotLens("slope-condition-fails")
-    if fam == "kplus":
-        a, b = knot.params
-        order = a * a + a * b + b * b
-        if slope.n == 1 and slope.m == order:
-            w = a * pow(b, -1, order) % order
-            return Lens(make_lens(order, w * w))
-        return NotLens("unknown-for-family")
-    if fam == "tangleHH":
-        (n,) = knot.params
-        order = 27 * n * n + 45 * n + 21
-        if slope.n == 1 and slope.m == order:
-            return Lens(make_lens(order, order - (9 * n * n + 12 * n + 5)))
-        return NotLens("unknown-for-family")
-    if fam == "tangleTH":
-        (n,) = knot.params
-        order = 18 * n * n + 33 * n + 15
-        if slope.n == 1 and slope.m == order:
-            return Lens(make_lens(order, order - (18 * n + 19)))
-        return NotLens("unknown-for-family")
-    raise InvalidKnot(f"unknown family {fam!r}")
+    return NotLens("unknown-for-family")
 
 
 def natural_slope(knot: KnotDescriptor) -> SurgerySlope | None:
     """The designated integral lens slope of the family; None for torus knots."""
-    if knot.family == "cable":
-        a, b, eps = knot.params
-        return SurgerySlope(4 * a * b + eps)
-    if knot.family == "kplus":
-        a, b = knot.params
-        return SurgerySlope(a * a + a * b + b * b)
-    if knot.family == "tangleHH":
-        (n,) = knot.params
-        return SurgerySlope(27 * n * n + 45 * n + 21)
-    if knot.family == "tangleTH":
-        (n,) = knot.params
-        return SurgerySlope(18 * n * n + 33 * n + 15)
-    return None
+    if knot.family == "torus":
+        return None
+    ((m, _),) = _lens_slopes(knot.family, knot.params)
+    return SurgerySlope(m)
 
 
 def genus(knot: KnotDescriptor) -> int | None:

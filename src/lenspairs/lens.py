@@ -64,13 +64,12 @@ def reverse_orientation(space: LensSpace) -> LensSpace:
     return make_lens(space.p, space.p - space.q)
 
 
-def _parameter_orbit(space: LensSpace) -> set[int]:
+def _parameter_orbit(p: int, q: int) -> tuple[int, ...]:
     # all q' with L(p, q') homeomorphic to L(p, q): {±q, ±q^-1} mod p
-    p, q = space.p, space.q
     if p == 1:
-        return {0}
+        return (0,)
     inv = pow(q, -1, p)
-    return {q, p - q, inv, p - inv}
+    return (q, p - q, inv, p - inv)
 
 
 def oriented_homeomorphic(first: LensSpace, second: LensSpace) -> bool:
@@ -91,7 +90,7 @@ def homeomorphic(first: LensSpace, second: LensSpace) -> bool:
     """
     if first.p != second.p:
         return False
-    return second.q in _parameter_orbit(first)
+    return second.q in _parameter_orbit(first.p, first.q)
 
 
 def canonical_form(space: LensSpace) -> tuple[int, int]:
@@ -100,4 +99,4 @@ def canonical_form(space: LensSpace) -> tuple[int, int]:
     Two lens spaces are homeomorphic exactly when their canonical forms
     are equal, so the pair serves as a dictionary key.
     """
-    return space.p, min(_parameter_orbit(space))
+    return space.p, min(_parameter_orbit(space.p, space.q))

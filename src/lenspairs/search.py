@@ -1,13 +1,18 @@
 """Exhaustive surgery enumeration, coincidence detection, and family checks.
 
-``enumerate_surgeries`` walks every knot of the configured families whose
-designated lens surgeries stay within the order bound and emits the
-resulting lens spaces in a fixed deterministic order.  ``find_coincidences``
-buckets that stream by (reduced slope, unoriented lens class) and keeps the
-buckets with at least two members that are not the same knot; because the
-artifact cannot always certify non-equivalence, every record carries both
-its raw member count and the size of its largest subset of pairwise
-certified-distinct members.
+The candidates are the knots of the configured families together with
+their designated lens slopes m/n up to the order bound; the lens space of
+m/n-surgery has order m.  ``find_coincidences`` splits the range of m into
+shards that share no bucket.  Each shard enumerates only its own
+candidates as plain integer rows, buckets them by (m, n, unoriented lens
+class) and builds knot and lens-space objects only for the buckets with at
+least two members.  Shards run one at a time in this process, or over a
+pool of ``workers`` processes capped at ``os.cpu_count()``; any worker count
+gives the same records.  Because the artifact cannot always certify
+non-equivalence, every record carries both its raw member count and the
+size of its largest subset of pairwise certified-distinct members.
+``enumerate_surgeries`` yields the same candidates as (knot, slope, lens
+space) objects in a fixed deterministic order.
 
 ``verify_family`` re-derives, instance by instance, the six constructions
 of knot pairs sharing a surgery slope and a lens space, and
@@ -20,24 +25,26 @@ from __future__ import annotations
 
 import itertools
 import json
+import multiprocessing
+import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from math import gcd
+from dataclasses import dataclass, field
+from math import gcd, isqrt
 
 from .knots import (
     KnotDescriptor,
     Lens,
     SurgerySlope,
+    _lens_slopes,
     cable,
     distinct,
     kplus,
     lens_surgery,
-    natural_slope,
     tangle_hh,
     tangle_th,
     torus,
 )
-from .lens import LensSpace, canonical_form, homeomorphic, make_lens
+from .lens import LensSpace, _parameter_orbit, homeomorphic, make_lens
 from .sequences import InvalidIndex, fib, pair
 
 __all__ = [
@@ -81,126 +88,105 @@ class SearchConfig:
             raise ValueError("slope denominators must lie in [1, 16]")
 
 
-def _family_params(config: SearchConfig, family: str) -> list[tuple[int, ...]]:
-    # ordered parameter tuples; pruned so at least one slope fits order_max
-    out = []
-    if family == "torus":
-        min_n = min(config.slope_denominators)
-        for p in range(2, config.torus_max + 1):
-            for q in range(p + 1, config.torus_max + 1):
-                if min_n * p * q - 1 > config.order_max:
+def _shard_rows(config: SearchConfig, lo: int, hi: int):
+    """Yield (m, n, family, params, q) for every candidate with lo <= m < hi.
+
+    m/n is the candidate's lens slope and L(m, q) its lens space, both from
+    ``knots._lens_slopes``.  Loops stop where the smallest slope numerator
+    the remaining parameters can reach is at least hi; rows come in no
+    particular order.
+    """
+    hi = min(hi, config.order_max + 1)
+    fams = config.families
+    if "torus" in fams:
+        for n in config.slope_denominators:
+            for p in range(2, config.torus_max + 1):
+                top = min(config.torus_max, hi // (n * p))  # n*p*q - 1 < hi
+                if top <= p:
                     break
-                if gcd(p, q) == 1:
-                    out.append((p, q))
-    elif family == "cable":
+                for q in range(max(p + 1, -(-(lo - 1) // (n * p))), top + 1):
+                    if gcd(p, q) == 1:
+                        for m, raw_q in _lens_slopes("torus", (p, q), n):
+                            if lo <= m < hi:
+                                yield m, n, "torus", (p, q), raw_q
+    if "cable" in fams:
         for a in range(2, config.cable_max + 1):
-            for b in range(a + 1, config.cable_max + 1):
-                if 4 * a * b - 1 > config.order_max:
-                    break
+            top = min(config.cable_max, hi // (4 * a))  # 4*a*b - 1 < hi
+            if top <= a:
+                break
+            for b in range(max(a + 1, -(-(lo - 1) // (4 * a))), top + 1):
                 if gcd(a, b) == 1:
-                    out.append((a, b, -1))
-                    out.append((a, b, 1))
-    elif family == "kplus":
+                    for eps in (-1, 1):
+                        ((m, raw_q),) = _lens_slopes("cable", (a, b, eps))
+                        if lo <= m < hi:
+                            yield m, 1, "cable", (a, b, eps), raw_q
+    if "kplus" in fams:
         for a in range(1, config.kplus_max + 1):
-            for b in range(a, config.kplus_max + 1):
-                if a * a + a * b + b * b > config.order_max:
-                    break
+            if 3 * a * a >= hi:  # kplus(a, a) has the least order of all kplus(a, b >= a)
+                break
+            # every b below start has order a^2 + ab + b^2 < lo
+            start = max(a, (isqrt(max(0, 4 * lo - 3 * a * a)) - a) // 2)
+            for b in range(start, config.kplus_max + 1):
                 if gcd(a, b) == 1:
-                    out.append((a, b))
-    elif family == "tangleHH":
-        for n in range(1, config.tangle_max + 1):
-            if 27 * n * n + 45 * n + 21 > config.order_max:
-                break
-            out.append((n,))
-    elif family == "tangleTH":
-        for n in range(1, config.tangle_max + 1):
-            if 18 * n * n + 33 * n + 15 > config.order_max:
-                break
-            out.append((n,))
-    return out
-
-
-def _surgeries_for(family: str, params_list, config: SearchConfig):
-    # (knot, slope, lens space) triples for one family chunk, in order
-    out = []
-    if family == "torus":
-        for p, q in params_list:
-            knot = torus(p, q)
-            for n in sorted(config.slope_denominators):
-                for eps in (-1, 1):
-                    m = n * p * q + eps
-                    if not 1 <= m <= config.order_max:
-                        continue
-                    slope = SurgerySlope(m, n)
-                    result = lens_surgery(knot, slope)
-                    out.append((knot, slope, result.space))
-    else:
-        builder = {"cable": cable, "kplus": kplus, "tangleHH": tangle_hh, "tangleTH": tangle_th}[family]
-        for params in params_list:
-            knot = builder(*params)
-            slope = natural_slope(knot)
-            if slope.m > config.order_max:
-                continue
-            result = lens_surgery(knot, slope)
-            if isinstance(result, Lens):
-                out.append((knot, slope, result.space))
-    return out
-
-
-def _surgeries_task(task):
-    family, params_list, config = task
-    return _surgeries_for(family, params_list, config)
+                    ((m, raw_q),) = _lens_slopes("kplus", (a, b))
+                    if m >= hi:
+                        break
+                    if m >= lo:
+                        yield m, 1, "kplus", (a, b), raw_q
+    for family in ("tangleHH", "tangleTH"):
+        if family in fams:
+            for n in range(1, config.tangle_max + 1):
+                ((m, raw_q),) = _lens_slopes(family, (n,))
+                if m >= hi:
+                    break
+                if m >= lo:
+                    yield m, 1, family, (n,), raw_q
 
 
 def enumerate_surgeries(config: SearchConfig):
     """Yield (knot, slope, lens space) in deterministic (family, params, slope) order."""
-    for family in sorted(config.families):
-        yield from _surgeries_for(family, _family_params(config, family), config)
+    rows = _shard_rows(config, 1, config.order_max + 1)
+    for m, n, family, params, q in sorted(rows, key=lambda r: (r[2], r[3], r[1], r[0])):
+        yield KnotDescriptor(family, params), SurgerySlope(m, n), make_lens(m, q)
 
 
-def _all_surgeries(config: SearchConfig) -> list:
-    if config.workers <= 1:
-        return list(enumerate_surgeries(config))
-    tasks = []
-    for family in sorted(config.families):
-        params = _family_params(config, family)
-        step = max(1, -(-len(params) // config.workers))
-        for start in range(0, len(params), step):
-            tasks.append((family, params[start : start + step], config))
-    triples = []
-    with ProcessPoolExecutor(max_workers=config.workers) as pool:
-        for part in pool.map(_surgeries_task, tasks):
-            triples.extend(part)
-    return triples
+def _largest_distinct_subset(members: tuple) -> tuple:
+    # largest pairwise certified-distinct subset; each pair is decided once
+    knots = [knot for knot, _ in members]
+    indices = range(len(knots))
+    apart = {
+        (i, j) for i, j in itertools.combinations(indices, 2) if distinct(knots[i], knots[j]) == "distinct"
+    }
+    for size in range(len(knots), 0, -1):
+        for combo in itertools.combinations(indices, size):
+            if all(pair in apart for pair in itertools.combinations(combo, 2)):
+                return tuple(members[i] for i in combo)
+    return ()
 
 
 @dataclass(frozen=True)
 class CoincidenceRecord:
-    """Knots sharing one reduced slope and one unoriented lens class."""
+    """Knots sharing one reduced slope and one unoriented lens class.
+
+    ``certified_members``, the largest member subset that is pairwise
+    certified distinct, is computed once when the record is made.
+    """
 
     slope: SurgerySlope
     lens_class: tuple[int, int]
     members: tuple[tuple[KnotDescriptor, LensSpace], ...]
+    certified_members: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "certified_members", _largest_distinct_subset(self.members))
 
     @property
     def multiplicity(self) -> int:
         return len(self.members)
 
-    def certified_members(self) -> tuple:
-        """Largest member subset that is pairwise certified distinct."""
-        knots = [knot for knot, _ in self.members]
-        for size in range(len(knots), 0, -1):
-            for combo in itertools.combinations(range(len(knots)), size):
-                if all(
-                    distinct(knots[i], knots[j]) == "distinct"
-                    for i, j in itertools.combinations(combo, 2)
-                ):
-                    return tuple(self.members[i] for i in combo)
-        return ()
-
     @property
     def certified_multiplicity(self) -> int:
-        return len(self.certified_members())
+        return len(self.certified_members)
 
     def to_json(self) -> str:
         obj = {
@@ -215,26 +201,50 @@ class CoincidenceRecord:
         return json.dumps(obj, sort_keys=True)
 
 
-def find_coincidences(config: SearchConfig) -> list[CoincidenceRecord]:
-    """Group the enumeration by (slope, lens class); keep groups of >= 2 knots.
+# A search runs in at least _SHARDS shards of lens order m, so that the pool
+# has work to share at any order_max, and each shard spans at most
+# _SHARD_WIDTH orders, so that the rows one shard holds at once stay few.
+_SHARDS = 16
+_SHARD_WIDTH = 4096
 
-    Members that are the same knot up to a family symmetry are merged; pairs
-    whose non-equivalence cannot be certified stay in the record and are
-    accounted for by ``certified_multiplicity``.
-    """
+
+def _shard_records(task) -> list[CoincidenceRecord]:
+    """The finished records of one shard (config, lo, hi) of lens orders."""
+    config, lo, hi = task
     buckets: dict = {}
-    for knot, slope, space in _all_surgeries(config):
-        key = (slope.m, slope.n, *canonical_form(space))
-        buckets.setdefault(key, []).append((knot, space))
+    for m, n, family, params, q in _shard_rows(config, lo, hi):
+        buckets.setdefault((m, n, min(_parameter_orbit(m, q))), []).append((family, params, q))
     records = []
-    for (m, n, p, q_min), members in buckets.items():
-        kept = []
-        for knot, space in members:
-            if any(distinct(knot, prev) == "equal" for prev, _ in kept):
-                continue
-            kept.append((knot, space))
-        if len(kept) >= 2:
-            records.append(CoincidenceRecord(SurgerySlope(m, n), (p, q_min), tuple(kept)))
+    for (m, n, q_min), rows in buckets.items():
+        if len(rows) >= 2:
+            # (family, params) order is the enumeration order
+            members = tuple((KnotDescriptor(f, params), make_lens(m, q)) for f, params, q in sorted(rows))
+            records.append(CoincidenceRecord(SurgerySlope(m, n), (m, q_min), members))
+    return records
+
+
+def find_coincidences(config: SearchConfig) -> list[CoincidenceRecord]:
+    """Group the candidates by (slope, lens class); keep groups of >= 2 knots.
+
+    A lens order is the slope numerator m, so no group spans two values of
+    m: the search runs in shards of m that share nothing, in this process or
+    over a pool of at most ``os.cpu_count()`` workers.  The enumeration
+    lists each knot once, in canonical parameters, so no group holds one
+    knot twice.  Pairs whose non-equivalence cannot be certified stay in the
+    record and are accounted for by ``certified_multiplicity``.
+
+    Pool workers are spawned interpreters that import the caller's main
+    module, so a script that asks for more than one worker makes the call
+    under ``if __name__ == "__main__":``.
+    """
+    width = min(_SHARD_WIDTH, -(-config.order_max // _SHARDS))
+    tasks = [(config, lo, lo + width) for lo in range(1, config.order_max + 1, width)]
+    workers = min(config.workers, os.cpu_count() or 1, len(tasks))
+    if workers == 1:
+        records = [record for task in tasks for record in _shard_records(task)]
+    else:
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
+            records = [record for part in pool.map(_shard_records, tasks) for record in part]
     records.sort(key=lambda r: (r.lens_class[0], r.slope.m, r.slope.n, r.lens_class[1]))
     return records
 

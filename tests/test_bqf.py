@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from lenspairs import bqf
 from lenspairs.arith import is_perfect_square
 from lenspairs.bqf import (
     CapExceeded,
@@ -233,3 +234,16 @@ def test_divisibility_scan_skips_zero_difference():
     # b = c makes b^2 - c^2 = 0; divisibility of zero is vacuous, not a hit
     report = divisibility_scan(range(2, 3), range(1, 2), range(1, 2), range(3, 4))
     assert report.clean
+
+
+def test_generate_solutions_finds_the_unit_once(monkeypatch):
+    calls = []
+
+    def counted(delta, cap=10 ** 6):
+        calls.append(delta)
+        return fundamental_unit(delta, cap)
+
+    monkeypatch.setattr(bqf, "fundamental_unit", counted)
+    sols = generate_solutions(F, 1, 3)
+    assert calls == [F.delta]
+    assert sols and all(F(x, y) == 1 for x, y in sols)

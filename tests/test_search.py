@@ -1,9 +1,12 @@
 import json
+import os
+import time
 
 import pytest
 
 from lenspairs.knots import Lens, SurgerySlope, cable, kplus, lens_surgery, tangle_hh, tangle_th, torus
 from lenspairs.lens import canonical_form, make_lens
+from lenspairs import search
 from lenspairs.search import (
     SearchConfig,
     enumerate_surgeries,
@@ -102,6 +105,46 @@ def test_worker_determinism():
     sequential = find_coincidences(SearchConfig(order_max=300, workers=1))
     parallel = find_coincidences(SearchConfig(order_max=300, workers=3))
     assert [record.to_json() for record in sequential] == [record.to_json() for record in parallel]
+
+
+def test_enumerated_triples_match_lens_surgery():
+    config = SearchConfig(order_max=3000, torus_max=60, cable_max=30, kplus_max=40, tangle_max=9,
+                          slope_denominators={1, 2, 3})
+    triples = list(enumerate_surgeries(config))
+    assert {knot.family for knot, _, _ in triples} == set(search.ALL_FAMILIES)
+    for knot, slope, space in triples:
+        assert lens_surgery(knot, slope) == Lens(space)
+
+
+def test_enumeration_is_bounded_by_order():
+    # loops stop at the order bound, not at the family maxima
+    big = dict(torus_max=10 ** 6, cable_max=10 ** 6, kplus_max=10 ** 6, tangle_max=10 ** 6)
+    start = time.perf_counter()
+    wide = list(enumerate_surgeries(SearchConfig(order_max=500, **big)))
+    elapsed = time.perf_counter() - start
+    narrow = dict(torus_max=500, cable_max=500, kplus_max=500, tangle_max=500)
+    assert wide == list(enumerate_surgeries(SearchConfig(order_max=500, **narrow)))
+    assert elapsed < 1.0
+
+
+def test_pool_is_capped_at_cpu_count(monkeypatch):
+    sizes = []
+
+    class Recording(search.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(search, "ProcessPoolExecutor", Recording)
+    sequential = find_coincidences(SearchConfig(order_max=500, workers=1))
+    pooled = find_coincidences(SearchConfig(order_max=500, workers=8))
+    assert [r.to_json() for r in pooled] == [r.to_json() for r in sequential]
+    assert sizes == ([min(8, os.cpu_count())] if os.cpu_count() > 1 else [])
+    # on one core no pool starts at all
+    sizes.clear()
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    assert find_coincidences(SearchConfig(order_max=500, workers=8)) == sequential
+    assert sizes == []
 
 
 def test_record_json_shape():
