@@ -7,7 +7,7 @@ form equations by the unit-orbit method, and searches exhaustively for
 distinct knots yielding homeomorphic lens spaces by the same surgery.
 """
 
-from .arith import Residue, gcd, is_perfect_square, mod_inv, mod_norm
+from .arith import gcd, is_perfect_square
 from .bqf import (
     DivisibilityReport,
     FormSolution,

@@ -1,82 +1,17 @@
-"""Exact integer and modular arithmetic shared by every other module.
+"""Exact integer arithmetic shared by every other module.
 
 Everything here works on plain Python ints, so no operation can overflow.
+Modular inverses use the built-in ``pow(x, -1, p)``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, isqrt
 
 __all__ = [
-    "InvalidModulus",
-    "NotInvertible",
-    "Residue",
     "gcd",
     "is_perfect_square",
-    "mod_inv",
-    "mod_norm",
 ]
-
-
-class InvalidModulus(ValueError):
-    """The modulus is not positive (or not >= 2 where inversion is asked)."""
-
-
-class NotInvertible(ValueError):
-    """x has no inverse mod p because gcd(x, p) != 1."""
-
-
-@dataclass(frozen=True)
-class Residue:
-    """An integer reduced to the canonical range [0, modulus)."""
-
-    value: int
-    modulus: int
-
-    def __post_init__(self):
-        if self.modulus < 1:
-            raise InvalidModulus(f"modulus must be >= 1, got {self.modulus}")
-        if not 0 <= self.value < self.modulus:
-            raise ValueError(f"{self.value} is not reduced mod {self.modulus}")
-
-    def __int__(self):
-        return self.value
-
-    def __index__(self):
-        return self.value
-
-
-def mod_norm(x: int, p: int) -> Residue:
-    """Reduce x to its canonical residue in [0, p)."""
-    if p < 1:
-        raise InvalidModulus(f"modulus must be >= 1, got {p}")
-    return Residue(x % p, p)
-
-
-def mod_inv(x: int, p: int) -> Residue:
-    """Inverse of x mod p, reduced to [1, p).
-
-    Runs the extended Euclidean algorithm; p must be at least 2 and
-    gcd(x, p) must be 1, otherwise NotInvertible is raised.
-    """
-    if p < 2:
-        raise InvalidModulus(f"inversion needs a modulus >= 2, got {p}")
-    g, s = _ext_gcd(x % p, p)
-    if g != 1:
-        raise NotInvertible(f"{x} is not invertible mod {p} (gcd = {g})")
-    return Residue(s % p, p)
-
-
-def _ext_gcd(a: int, b: int) -> tuple[int, int]:
-    # returns (g, s) with g = gcd(a, b) and s*a ≡ g (mod b)
-    old_r, r = a, b
-    old_s, s = 1, 0
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-    return old_r, old_s
 
 
 def is_perfect_square(n: int) -> int | None:

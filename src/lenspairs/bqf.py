@@ -5,8 +5,21 @@ order of the same discriminant D = B^2 - 4AC: the norm-1 units of that order
 act on the solution set with finitely many orbits, every orbit meets the
 window 0 <= y <= W for an explicit W built from the smallest unit above 1,
 and two window solutions share an orbit only at the boundaries y = 0 and
-y = W.  So enumerating the window yields orbit representatives, and applying
+y = W.  The window solutions are the orbit representatives, and applying
 the unit action walks each orbit out to infinity.
+
+The fundamental unit comes from the period of the continued fraction of
+rho = sqrt(D/4) or (1 + sqrt(D))/2 (Lenstra, "Solving the Pell equation",
+Notices AMS 49, 2002), so its cost tracks the period, not the size of the
+unit.  The window solutions come from Matthews' LMM method ("The
+Diophantine equation x^2 - Dy^2 = N, D > 0", Expo. Math. 18, 2000): with
+s = 2Ax + By the equation becomes s^2 - D y^2 = 4Am, a continued fraction
+per square root of D mod |4Am/f^2| gives one solution in each class, and
+each class is walked into the window.  The square roots come from the
+factorisation of 4Am/f^2, so the cost tracks sqrt|Am| and the number of
+classes, not W.
+Every loop ends on a proven period or orbit bound, never on an iteration
+count.
 
 Everything is exact: W is handled as the rational W^2 plus its integer floor,
 and no float appears anywhere.  ``solutions_in_box`` is a self-contained
@@ -23,7 +36,6 @@ from typing import NamedTuple
 from .arith import is_perfect_square
 
 __all__ = [
-    "CapExceeded",
     "DivisibilityHit",
     "DivisibilityReport",
     "FormSolution",
@@ -49,10 +61,6 @@ class NotApplicable(ValueError):
 
 class NotADiscriminant(ValueError):
     """Discriminant is 2 or 3 mod 4, so no quadratic order exists."""
-
-
-class CapExceeded(RuntimeError):
-    """The unit search hit its iteration cap before finding a norm-1 unit."""
 
 
 class InvalidUnit(ValueError):
@@ -113,29 +121,37 @@ class FormSolution(NamedTuple):
     y: int
 
 
-def fundamental_unit(delta: int, cap: int = 10 ** 6) -> UnitElement:
-    """The smallest norm-1 unit greater than 1, by scanning v = 1, 2, ...
+def fundamental_unit(delta: int) -> UnitElement:
+    """The smallest norm-1 unit greater than 1, from the continued fraction of rho.
 
-    For each v the norm equation determines u through a perfect-square
-    test, and the value u + v*rho grows with v, so the first hit is the
-    fundamental one.  Raises CapExceeded after ``cap`` candidates.
+    rho = (P_0 + sqrt(delta))/Q_0 with Q_0 = 2 and P_0 = delta mod 2.  Its
+    complete quotients are (P_k + sqrt(delta))/Q_k, and the convergent p/q
+    before index k gives the element p - q*rho' of norm (-1)^k Q_k/Q_0, where
+    rho' is the conjugate.  The first even k with Q_k = Q_0 therefore gives
+    the fundamental norm-1 unit, p - q*rho' = u + v*rho.  Q_k = Q_0 marks the
+    end of each period of the expansion, so the loop ends within two periods,
+    O(sqrt(delta) log delta) steps, however large the unit is.
     """
     if delta <= 0 or is_perfect_square(delta) is not None:
         raise NotApplicable(f"discriminant {delta} must be positive and nonsquare")
     if delta % 4 in (2, 3):
         raise NotADiscriminant(f"{delta} is 2 or 3 mod 4")
+    root = isqrt(delta)
+    big_p, big_q = delta % 2, 2
+    p_prev, p, q_prev, q = 0, 1, 1, 0
+    k = 0
+    while True:
+        a = (big_p + root) // big_q
+        p_prev, p = p, a * p + p_prev
+        q_prev, q = q, a * q + q_prev
+        big_p = a * big_q - big_p
+        big_q = (delta - big_p * big_p) // big_q
+        k += 1
+        if k % 2 == 0 and big_q == 2:
+            break
     if delta % 4 == 0:
-        d = delta // 4
-        for v in range(1, cap + 1):
-            u = is_perfect_square(d * v * v + 1)
-            if u is not None:
-                return UnitElement(delta, u, v)
-    else:
-        for v in range(1, cap + 1):
-            s = is_perfect_square(delta * v * v + 4)
-            if s is not None:
-                return UnitElement(delta, (s - v) // 2, v)
-    raise CapExceeded(f"no norm-1 unit with v <= {cap} for discriminant {delta}")
+        return UnitElement(delta, p, q)
+    return UnitElement(delta, p - q, q)
 
 
 class WindowBound(NamedTuple):
@@ -155,14 +171,14 @@ class WindowBound(NamedTuple):
         return is_perfect_square(self.w_squared.numerator)
 
 
-def window_bound(form: QuadForm, m: int, cap: int = 10 ** 6) -> WindowBound:
+def window_bound(form: QuadForm, m: int) -> WindowBound:
     """W^2 = |A m (t -+ 2) / D| where t is the trace of the fundamental unit.
 
     The sign is - for A*m > 0 and + for A*m < 0.
     """
     if m == 0:
         raise ValueError("m must be nonzero")
-    return _window(form, m, fundamental_unit(form.delta, cap))
+    return _window(form, m, fundamental_unit(form.delta))
 
 
 def _window(form: QuadForm, m: int, unit: UnitElement) -> WindowBound:
@@ -174,44 +190,188 @@ def _window(form: QuadForm, m: int, unit: UnitElement) -> WindowBound:
     return WindowBound(w_squared, floor)
 
 
-def _roots_in_x(form: QuadForm, m: int, y: int) -> list[int]:
-    # exact integer roots of A x^2 + (B y) x + (C y^2 - m) = 0
-    disc = form.delta * y * y + 4 * form.A * m
-    if disc < 0:
-        return []
-    s = is_perfect_square(disc)
-    if s is None:
-        return []
-    roots = []
-    for sign in (s, -s) if s else (0,):
-        num = -form.B * y + sign
-        if num % (2 * form.A) == 0:
-            roots.append(num // (2 * form.A))
+def orbit_representatives(form: QuadForm, m: int) -> list[FormSolution]:
+    """One solution of form = m per norm-1-unit orbit, sorted by (y, x).
+
+    These are the solutions in the window 0 <= y <= W.  At the boundaries
+    y = 0 and y = W (W integral) the two roots in x lie in one orbit, so only
+    one of them is kept; everywhere else each root is its own orbit.
+    """
+    if m == 0:
+        raise ValueError("m must be nonzero")
+    return _representatives(form, m, fundamental_unit(form.delta))
+
+
+def _representatives(form: QuadForm, m: int, unit: UnitElement) -> list[FormSolution]:
+    # orbit_representatives for an already computed fundamental unit: every
+    # solution is +-unit^k times a class seed, and each orbit is walked into
+    # the window from its seed
+    window = _window(form, m, unit)
+    a, b = form.A, form.B
+    points = set()
+    for s, y in _pell_classes(form.delta, 4 * a * m):
+        if (s - b * y) % (2 * a) == 0:
+            x = (s - b * y) // (2 * a)
+            for seed in (FormSolution(x, y), FormSolution(-x, -y)):
+                points.update(_orbit_in_window(form, seed, unit, window.floor))
+    by_y: dict[int, list[int]] = {}
+    for x, y in points:
+        by_y.setdefault(y, []).append(x)
+    reps = []
+    for y in sorted(by_y):
+        roots = sorted(by_y[y])
+        if y == 0 or y == window.exact:
+            roots = [min(roots, key=lambda x: (abs(x), x < 0))]
+        reps.extend(FormSolution(x, y) for x in roots)
+    return reps
+
+
+def _pell_classes(delta: int, n: int) -> list[tuple[int, int]]:
+    # one solution (s, y) of s^2 - delta y^2 = n in each class under
+    # +-(norm-1 units of Z[sqrt(delta)]), by Matthews' LMM: a solution with
+    # gcd(s, y) = f solves the primitive equation for n' = n/f^2, and its
+    # class has a root z^2 = delta mod |n'|.  Matthews takes
+    # -|n'|/2 < z <= |n'|/2; z + |n'| gives the same expansion shifted by 1
+    # and the same solutions, so [0, |n'|) serves as well
+    root = isqrt(delta)
+    square_divisors = [1]
+    for p, e in _factor(abs(n)):
+        square_divisors = [f * p ** i for f in square_divisors for i in range(e // 2 + 1)]
+    seeds = []
+    for f in square_divisors:
+        reduced = n // (f * f)
+        for z in _square_roots(delta, abs(reduced)):
+            sol = _lmm_solution(delta, reduced, z, root)
+            if sol is not None:
+                seeds.append((f * sol[0], f * sol[1]))
+    return seeds
+
+
+def _square_roots(delta: int, n: int) -> list[int]:
+    # every z in [0, n) with z^2 = delta mod n: the roots modulo each prime
+    # power of n, glued by the Chinese remainder theorem
+    roots, modulus = [0], 1
+    for p, e in _factor(n):
+        q = p ** e
+        local = _prime_power_roots(delta, p, e)
+        step = pow(modulus, -1, q)
+        roots = [r + modulus * ((t - r) * step % q) for r in roots for t in local]
+        modulus *= q
     return roots
 
 
-def orbit_representatives(form: QuadForm, m: int, cap: int = 10 ** 6) -> list[FormSolution]:
-    """One solution of form = m per norm-1-unit orbit, sorted by (y, x).
+def _factor(n: int) -> list[tuple[int, int]]:
+    # (prime, exponent) pairs of n >= 1, by trial division
+    out = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            out.append((p, e))
+        p += 1 if p == 2 else 2
+    if n > 1:
+        out.append((n, 1))
+    return out
 
-    Solves the quadratic in x exactly for each y in the window.  At the
-    boundaries y = 0 and y = W (W integral) the two roots lie in one orbit,
-    so only one of them is kept; everywhere else each root is its own orbit.
-    """
-    return _representatives(form, m, window_bound(form, m, cap))
+
+def _prime_power_roots(delta: int, p: int, e: int) -> list[int]:
+    # every z in [0, p^e) with z^2 = delta mod p^e
+    if p % 2 and delta % p:
+        # the two roots mod p lift uniquely by Newton's step
+        r = _sqrt_mod_prime(delta % p, p)
+        if r is None:
+            return []
+        q = p
+        for _ in range(e - 1):
+            q *= p
+            r = (r - (r * r - delta) * pow(2 * r, -1, q)) % q
+        return [r, q - r]
+    # p = 2 or p | delta: a root mod p^(k+1) is a root mod p^k plus t p^k
+    roots, q = [0], 1
+    for _ in range(e):
+        roots = [r + t * q for r in roots for t in range(p) if ((r + t * q) ** 2 - delta) % (q * p) == 0]
+        q *= p
+    return roots
 
 
-def _representatives(form: QuadForm, m: int, window: WindowBound) -> list[FormSolution]:
-    # orbit_representatives for an already computed window
-    reps = []
-    for y in range(window.floor + 1):
-        roots = _roots_in_x(form, m, y)
-        if not roots:
-            continue
-        if y == 0 or y == window.exact:
-            roots = [min(roots, key=lambda x: (abs(x), x < 0))]
-        reps.extend(FormSolution(x, y) for x in sorted(roots))
-    reps.sort(key=lambda sol: (sol.y, sol.x))
-    return reps
+def _sqrt_mod_prime(a: int, p: int) -> int | None:
+    # a root of z^2 = a mod an odd prime p not dividing a, by Tonelli-Shanks
+    if pow(a, (p - 1) // 2, p) != 1:
+        return None
+    odd, twos = p - 1, 0
+    while odd % 2 == 0:
+        odd //= 2
+        twos += 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    c, t, r = pow(z, odd, p), pow(a, odd, p), pow(a, (odd + 1) // 2, p)
+    while t != 1:
+        # the order of t is 2^i with i < twos
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (twos - i - 1), p)
+        twos, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return r
+
+
+def _lmm_solution(delta: int, n: int, z: int, root: int) -> tuple[int, int] | None:
+    # the continued fraction of (z + sqrt(delta))/|n| has complete quotients
+    # (P_k + sqrt(delta))/Q_k and convergents A/B with
+    # (|n| A_{k-1} - z B_{k-1})^2 - delta B_{k-1}^2 = (-1)^k Q_k |n|, so a
+    # solution of the class shows as Q_k = 1 with (-1)^k = sign(n).  The
+    # quotients turn reduced and then cycle; once the first reduced state
+    # recurs at the same parity of k, no new (Q_k, k mod 2) can appear.
+    size = abs(n)
+    big_p, big_q = z, size
+    a_prev, a_cur, b_prev, b_cur = 0, 1, 1, 0
+    k = 0
+    cycle = None
+    while True:
+        if big_q == 1 and (k % 2 == 0) == (n > 0):
+            return size * a_cur - z * b_cur, b_cur
+        state = (big_p, big_q, k % 2)
+        if cycle is None:
+            if 0 < big_p <= root and root - big_p < big_q <= root + big_p:
+                cycle = state
+        elif state == cycle:
+            return None
+        # floor((P + sqrt(delta))/Q), exact for either sign of Q
+        quotient = (big_p + root + (big_q < 0)) // big_q
+        a_prev, a_cur = a_cur, quotient * a_cur + a_prev
+        b_prev, b_cur = b_cur, quotient * b_cur + b_prev
+        big_p = quotient * big_q - big_p
+        big_q = (delta - big_p * big_p) // big_q
+        k += 1
+
+
+def _orbit_in_window(form: QuadForm, seed: FormSolution, unit: UnitElement, top: int) -> list[FormSolution]:
+    # members of the orbit of seed under the powers of unit with 0 <= y <= top.
+    # Along the orbit y = c1 e^k + c2 e^-k with c1 c2 = -A m/D, so y is
+    # monotone in k (A m > 0) or convex and of one sign (A m < 0): its gap to
+    # [0, top] falls and then rises, and a walk stops once the gap rises
+    found = []
+    for inverse in (False, True):
+        cur, gap = seed, _gap(seed.y, top)
+        while True:
+            if gap == 0:
+                found.append(cur)
+            nxt = apply_unit(form, cur, unit, inverse)
+            nxt_gap = _gap(nxt.y, top)
+            if nxt_gap > 0 and (gap == 0 or nxt_gap >= gap):
+                break
+            cur, gap = nxt, nxt_gap
+    return found
+
+
+def _gap(y: int, top: int) -> int:
+    # distance from y to the interval [0, top]
+    return -y if y < 0 else max(0, y - top)
 
 
 def apply_unit(form: QuadForm, sol: FormSolution, unit: UnitElement, inverse: bool = False) -> FormSolution:
@@ -239,7 +399,7 @@ def apply_unit(form: QuadForm, sol: FormSolution, unit: UnitElement, inverse: bo
     return FormSolution(x * a11 + y * a21, x * a12 + y * a22)
 
 
-def generate_solutions(form: QuadForm, m: int, count: int, cap: int = 10 ** 6) -> list[FormSolution]:
+def generate_solutions(form: QuadForm, m: int, count: int) -> list[FormSolution]:
     """The first ``count`` solutions of each orbit, walking towards growing y.
 
     From each window representative the unit action is applied in the
@@ -250,8 +410,8 @@ def generate_solutions(form: QuadForm, m: int, count: int, cap: int = 10 ** 6) -
         return []
     if m == 0:
         raise ValueError("m must be nonzero")
-    tau = fundamental_unit(form.delta, cap)
-    reps = _representatives(form, m, _window(form, m, tau))
+    tau = fundamental_unit(form.delta)
+    reps = _representatives(form, m, tau)
     if not reps:
         return []
     out = []

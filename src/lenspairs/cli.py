@@ -315,11 +315,11 @@ def run(argv=None) -> int:
     if getattr(args, "cmd", None) is None:
         parser.print_usage(sys.stderr)
         return 2
+    if hasattr(sys, "set_int_max_str_digits"):
+        # units and orbit solutions can run to thousands of digits
+        sys.set_int_max_str_digits(0)
     try:
         return args.cmd(args)
-    except bqf.CapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         sys.stderr.write(parser.format_usage())

@@ -1,67 +1,6 @@
 import random
 
-import pytest
-
-from lenspairs.arith import (
-    InvalidModulus,
-    NotInvertible,
-    Residue,
-    gcd,
-    is_perfect_square,
-    mod_inv,
-    mod_norm,
-)
-
-
-def inv_by_scan(x, p):
-    # independent oracle: try every candidate
-    for y in range(1, p):
-        if x * y % p == 1:
-            return y
-    return None
-
-
-def test_mod_norm_values():
-    assert mod_norm(-26, 93).value == 67
-    assert mod_norm(9, 5).value == 4
-    assert mod_norm(0, 1).value == 0
-    assert mod_norm(93, 93).value == 0
-
-
-def test_mod_norm_rejects_bad_modulus():
-    with pytest.raises(InvalidModulus):
-        mod_norm(3, 0)
-    with pytest.raises(InvalidModulus):
-        mod_norm(3, -5)
-
-
-def test_mod_inv_against_scan_oracle():
-    assert inv_by_scan(7, 93) == 40
-    assert mod_inv(7, 93).value == 40
-    assert inv_by_scan(3, 13) == 9
-    assert mod_inv(3, 13).value == 9
-
-
-def test_mod_inv_not_invertible():
-    with pytest.raises(NotInvertible):
-        mod_inv(6, 93)
-    with pytest.raises(NotInvertible):
-        mod_inv(0, 7)
-    with pytest.raises(InvalidModulus):
-        mod_inv(1, 1)
-
-
-def test_mod_inv_random_roundtrip():
-    rng = random.Random(7)
-    for _ in range(500):
-        p = rng.randrange(2, 10 ** 6)
-        x = rng.randrange(1, p)
-        if gcd(x, p) != 1:
-            continue
-        y = mod_inv(x, p).value
-        assert 1 <= y < p
-        assert mod_norm(x * y, p).value == 1
-        assert y == pow(x, -1, p)
+from lenspairs.arith import gcd, is_perfect_square
 
 
 def test_is_perfect_square():
@@ -97,10 +36,3 @@ def test_gcd_properties():
         if g:
             assert a % g == 0 and b % g == 0
 
-
-def test_residue_validation():
-    with pytest.raises(ValueError):
-        Residue(5, 5)
-    with pytest.raises(InvalidModulus):
-        Residue(0, 0)
-    assert int(Residue(4, 9)) == 4

@@ -1,12 +1,13 @@
+import itertools
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
 from lenspairs import bqf
 from lenspairs.arith import is_perfect_square
 from lenspairs.bqf import (
-    CapExceeded,
     FormSolution,
     InvalidUnit,
     NotADiscriminant,
@@ -37,11 +38,46 @@ def naive_box(form, m, bound):
     )
 
 
-def orbit_points_in_box(form, m, bound, cap=10 ** 6):
+def window_solutions(form, m, top):
+    # every solution with 0 <= y <= top, by solving the quadratic in x at each y
+    sols = []
+    for y in range(top + 1):
+        root = is_perfect_square(form.delta * y * y + 4 * form.A * m)
+        if root is not None:
+            nums = {-form.B * y + root, -form.B * y - root}
+            xs = sorted(num // (2 * form.A) for num in nums if num % (2 * form.A) == 0)
+            sols.extend(FormSolution(x, y) for x in xs)
+    return sols
+
+
+def walk_representatives(form, m):
+    # the y-window walk, the oracle for orbit_representatives: at y = 0 and
+    # y = W the two roots share an orbit, and the one with the smaller |x|
+    # (then the positive one) represents it
+    window = window_bound(form, m)
+    reps = []
+    for y, group in itertools.groupby(window_solutions(form, m, window.floor), key=lambda sol: sol.y):
+        group = list(group)
+        if y == 0 or y == window.exact:
+            group = [min(group, key=lambda sol: (abs(sol.x), sol.x < 0))]
+        reps.extend(group)
+    return reps
+
+
+def least_unit_from_sympy(delta):
+    # (t, w) with the least w >= 1 and t^2 - delta w^2 = 4, t > 0
+    from sympy.solvers.diophantine.diophantine import diop_DN
+
+    cands = [(int(t), int(w)) for t, w in diop_DN(delta, 4) if t > 0 and w > 0]
+    cands += [(2 * int(x), 2 * int(y)) for x, y in diop_DN(delta, 1) if y > 0]
+    return min(cands, key=lambda tw: tw[1])
+
+
+def orbit_points_in_box(form, m, bound):
     # walk each representative's orbit in both directions while inside the box
-    tau = fundamental_unit(form.delta, cap)
+    tau = fundamental_unit(form.delta)
     points = set()
-    for rep in orbit_representatives(form, m, cap):
+    for rep in orbit_representatives(form, m):
         for inverse in (False, True):
             cur = rep
             while abs(cur.x) <= bound and abs(cur.y) <= bound:
@@ -75,8 +111,17 @@ def test_fundamental_unit_errors():
         fundamental_unit(-8)
     with pytest.raises(NotADiscriminant):
         fundamental_unit(7)
-    with pytest.raises(CapExceeded):
-        fundamental_unit(244, cap=100)  # fundamental v for 4*61 is 226153980
+    unit = fundamental_unit(244)  # past v = 10^6, where a linear scan in v gives up
+    assert (unit.u, unit.v) == (1766319049, 226153980)
+
+
+def test_fundamental_unit_matches_sympy():
+    pytest.importorskip("sympy")
+    for delta in range(5, 3001):
+        if delta % 4 in (2, 3) or is_perfect_square(delta) is not None:
+            continue
+        unit = fundamental_unit(delta)
+        assert (unit.trace(), unit.v) == least_unit_from_sympy(delta), delta
 
 
 def test_fundamental_unit_norm_and_minimality():
@@ -123,6 +168,37 @@ def test_orbit_representatives():
     assert orbit_representatives(F, -1) == []
     assert orbit_representatives(G, -1) == [FormSolution(0, 1)]
     assert orbit_representatives(G, 1) == [FormSolution(1, 0)]
+    # discriminant 241: W = 9148449, so the window walk takes seconds
+    assert orbit_representatives(QuadForm(1, 1, -60), 1) == [FormSolution(1, 0)]
+    assert orbit_representatives(QuadForm(-1, 1, 60), -1) == [FormSolution(1, 0)]
+
+
+def test_representatives_match_window_walk():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    # in the two examples an orbit's window point is not the solution its
+    # class is found at, so the orbit has to be walked into the window
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.example(-4, 4, 23, 95)
+    @hypothesis.example(5, -22, 11, -109)
+    @hypothesis.given(st.integers(-30, 30).filter(bool), st.integers(-60, 60), st.integers(-30, 30),
+                      st.integers(-300, 300).filter(bool))
+    def check(a, b, c, m):
+        delta = b * b - 4 * a * c
+        hypothesis.assume(delta > 0 and is_perfect_square(delta) is None)
+        form = QuadForm(a, b, c)
+        window = window_bound(form, m)
+        hypothesis.assume(window.floor <= 3000)
+        assert orbit_representatives(form, m) == walk_representatives(form, m)
+        top = window.floor
+        if top <= 100:
+            # |x| <= (|b| y + sqrt(delta y^2 + 4|a m|)) / 2|a| on the window
+            bound = max(top, (abs(b) * top + isqrt(delta * top * top + 4 * abs(a * m))) // (2 * abs(a)) + 1)
+            in_window = [sol for sol in solutions_in_box(form, m, bound) if 0 <= sol.y <= top]
+            assert in_window == window_solutions(form, m, top)
+
+    check()
 
 
 def test_apply_unit():
@@ -186,10 +262,7 @@ def test_box_oracle_on_random_forms():
         if delta <= 0 or is_perfect_square(delta) is not None or delta % 4 in (2, 3):
             continue
         form = QuadForm(a, b, c)
-        try:
-            walked = orbit_points_in_box(form, m, 10 ** 4, cap=10 ** 5)
-        except CapExceeded:
-            continue
+        walked = orbit_points_in_box(form, m, 10 ** 4)
         expected = {FormSolution(-s.x, -s.y) for s in walked} | walked
         assert set(solutions_in_box(form, m, 10 ** 4)) == expected
         cases += 1
@@ -239,9 +312,9 @@ def test_divisibility_scan_skips_zero_difference():
 def test_generate_solutions_finds_the_unit_once(monkeypatch):
     calls = []
 
-    def counted(delta, cap=10 ** 6):
+    def counted(delta):
         calls.append(delta)
-        return fundamental_unit(delta, cap)
+        return fundamental_unit(delta)
 
     monkeypatch.setattr(bqf, "fundamental_unit", counted)
     sols = generate_solutions(F, 1, 3)

@@ -18,6 +18,7 @@ REGRESSION_SET = [
     (["identities", "--range", "40"], 0),
     (["verify", "torus_torus", "--range", "1..5"], 0),
     (["bqf", "scan", "--a-min", "1", "--a-max", "1", "--bc-max", "8", "--n", "3..3"], 1),
+    (["bqf", "unit", "244"], 0),
 ]
 
 
@@ -86,6 +87,17 @@ def test_jsonl_mode_lines_parse(capsys):
         {"x": 6, "y": 1},
         {"x": 35, "y": 6},
     ]
+
+
+def test_bqf_unit_output(capsys):
+    assert run(["--jsonl", "bqf", "unit", "244"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"delta": 244, "u": 1766319049, "v": 226153980}
+    # v has about 4900 digits, past the default limit on converting ints to text
+    assert run(["bqf", "unit", "40000564"]) == 0
+    u_text, v_text = capsys.readouterr().out.split()
+    u, v = int(u_text.removeprefix("u=")), int(v_text.removeprefix("v="))
+    assert len(v_text) > 4800
+    assert u * u - 10000141 * v * v == 1
 
 
 def test_search_writes_jsonl_file(tmp_path, capsys):
