@@ -5,7 +5,8 @@ the lens space described by a triple (p, q, k).  Counting how the residue
 walk i*q mod p distributes around the position of k yields four counts
 whose minimum phi certifies hyperbolicity: phi >= 2 iff the knot is
 hyperbolic.  Two infinite families pass the test; kplus(1, 3) fails it
-because it is secretly the (3,4)-torus knot.
+because it is secretly the (3,4)-torus knot.  phi takes O(log p) steps, so
+the Fibonacci family is checked out to n = 1000, where p has 419 digits.
 """
 
 import time
@@ -27,9 +28,10 @@ for n in (1, 5, 20, 40):
     print(f"  n={n:>2}: hyperbolic = {kplus_is_hyperbolic(3 * n + 1, 3 * n + 4)}")
 
 print("\nfamily kplus(F(n+2), F(n)), closed-form triple first:")
-for n in (3, 8, 15):
+for n in (3, 8, 15, 100, 1000):
     triple = fibonacci_kplus_data(n)
     assert triple == kplus_dual(fib(n + 2), fib(n))
-    start = time.time()
+    start = time.perf_counter()
     verdict = kplus_is_hyperbolic(fib(n + 2), fib(n))
-    print(f"  n={n:>2}: p = {triple.p:>9,} hyperbolic = {verdict} ({time.time() - start:.2f}s)")
+    elapsed_ms = (time.perf_counter() - start) * 1000
+    print(f"  n={n:>4}: p has {len(str(triple.p)):>3} digits, hyperbolic = {verdict} ({elapsed_ms:.2f} ms)")

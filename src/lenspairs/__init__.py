@@ -26,7 +26,6 @@ from .dualknot import (
     BasicSequenceStats,
     DualKnotTriple,
     basic_stats,
-    basic_stats_bruteforce,
     fibonacci_kplus_data,
     kplus_dual,
     kplus_is_hyperbolic,

@@ -1,16 +1,17 @@
 """Dual knots in lens spaces and the hyperbolicity certificate phi.
 
 After a knot with an order-p lens surgery is filled, the core of the glued
-solid torus is a knot in L(p, q) determined by one extra residue k.  Walking
-the residues i*q mod p for i = 1 .. p-1 and counting, around the position of
-k, how many terms smaller/larger than k come before/after it gives four
-counts (s, ell, s', ell'); their minimum phi decides hyperbolicity of the
-original knot: hyperbolic iff phi >= 2.
+solid torus is a knot in L(p, q) determined by one extra residue k.  In the
+residue walk i*q mod p for i = 1 .. p-1, k sits at position h = k/q mod p;
+counting the terms smaller/larger than k before and after h gives four
+counts (s, ell, s', ell'), and their minimum phi decides hyperbolicity of
+the original knot: hyperbolic iff phi >= 2.
 
-The counting scan is streaming (two counters, O(1) memory) because orders in
-the Fibonacci-parameter family reach millions; ``basic_stats_bruteforce``
-materialises the whole residue sequence instead and exists as the reference
-implementation the streaming scan is tested against.
+The walk is never materialised.  One count is a difference of two floor
+sums, computed by a Euclid-like reduction in O(log p) steps on plain ints,
+and the other three follow from it exactly.  So phi stays cheap on the
+Fibonacci-parameter family, whose orders grow like the golden ratio to the
+power 2n and reach hundreds of digits.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ __all__ = [
     "BasicSequenceStats",
     "DualKnotTriple",
     "basic_stats",
-    "basic_stats_bruteforce",
     "fibonacci_kplus_data",
     "kplus_dual",
     "kplus_is_hyperbolic",
@@ -73,48 +73,39 @@ def kplus_dual(a: int, b: int) -> DualKnotTriple:
     return DualKnotTriple(p, w * w % p, -w % p)
 
 
-def basic_stats(triple: DualKnotTriple) -> BasicSequenceStats:
-    """Streaming scan of the residue walk; O(1) memory.
+def _floor_sum(n: int, m: int, a: int, b: int) -> int:
+    """Sum of (a*i + b) // m over 0 <= i < n, for n >= 0 and m >= 1.
 
-    The position h of k is k/q mod p, so the walk only needs two counters
-    on each side of h instead of the materialised sequence.
+    The Euclid-like reduction of AtCoder Library's ``floor_sum``: after
+    reducing a and b mod m, the sum equals a floor sum with the roles of a
+    and m swapped, so the loop runs O(log m) times.
+    """
+    total = 0
+    while True:
+        qa, a = divmod(a, m)
+        qb, b = divmod(b, m)
+        total += n * (n - 1) // 2 * qa + n * qb
+        y_max = a * n + b
+        if y_max < m:
+            return total
+        n, b = divmod(y_max, m)
+        m, a = a, m
+
+
+def basic_stats(triple: DualKnotTriple) -> BasicSequenceStats:
+    """The four counts around the position h of k, in O(log p) steps.
+
+    h = k/q mod p.  Since [x mod p < k] = x//p - (x-k)//p, the count s of
+    residues i*q mod p below k for 1 <= i < h is a difference of two floor
+    sums.  The walk i*q mod p over 1 <= i < p is a permutation of 1 .. p-1,
+    which takes the value k at i = h, so the other three counts follow:
+    ell = h-1-s, s' = k-1-s and ell' = p-1-h-s'.
     """
     p, q, k = triple.p, triple.q, triple.k
     h = k * pow(q, -1, p) % p
-    s = ell = 0
-    cur = 0
-    for _ in range(1, h):
-        cur += q
-        if cur >= p:
-            cur -= p
-        if cur < k:
-            s += 1
-        else:
-            ell += 1
-    s_prime = ell_prime = 0
-    cur = k
-    for _ in range(h + 1, p):
-        cur += q
-        if cur >= p:
-            cur -= p
-        if cur < k:
-            s_prime += 1
-        else:
-            ell_prime += 1
-    return BasicSequenceStats(h, s, ell, s_prime, ell_prime, min(s, ell, s_prime, ell_prime))
-
-
-def basic_stats_bruteforce(triple: DualKnotTriple) -> BasicSequenceStats:
-    """Reference implementation that materialises the whole residue walk."""
-    p, q, k = triple.p, triple.q, triple.k
-    walk = [i * q % p for i in range(1, p)]
-    h = walk.index(k) + 1
-    before = walk[: h - 1]
-    after = walk[h:]
-    s = sum(1 for v in before if v < k)
-    ell = sum(1 for v in before if v > k)
-    s_prime = sum(1 for v in after if v < k)
-    ell_prime = sum(1 for v in after if v > k)
+    s = _floor_sum(h - 1, p, q, q) - _floor_sum(h - 1, p, q, q - k)
+    s_prime = k - 1 - s
+    ell, ell_prime = h - 1 - s, p - 1 - h - s_prime
     return BasicSequenceStats(h, s, ell, s_prime, ell_prime, min(s, ell, s_prime, ell_prime))
 
 

@@ -38,12 +38,18 @@ class InvalidIndex(ValueError):
 
 
 def fib(n: int) -> int:
-    """The n-th Fibonacci number, F(0) = 0 and F(1) = 1."""
+    """The n-th Fibonacci number, F(0) = 0 and F(1) = 1.
+
+    Fast doubling over the bits of n, O(log n) steps: with (a, b) =
+    (F(k), F(k+1)), F(2k) = a (2b - a) and F(2k+1) = a^2 + b^2.
+    """
     if n < 0:
         raise InvalidIndex("Fibonacci index must be >= 0")
     a, b = 0, 1
-    for _ in range(n):
-        a, b = b, a + b
+    for bit in bin(n)[2:]:
+        a, b = a * (2 * b - a), a * a + b * b
+        if bit == "1":
+            a, b = b, a + b
     return a
 
 

@@ -11,7 +11,6 @@ from lenspairs.bqf import QuadForm, divisibility_scan, fundamental_unit, generat
 from lenspairs.dualknot import (
     DualKnotTriple,
     basic_stats,
-    basic_stats_bruteforce,
     kplus_dual,
     kplus_is_hyperbolic,
 )
@@ -19,6 +18,7 @@ from lenspairs.knots import Lens, SurgerySlope, lens_surgery, torus
 from lenspairs.lens import homeomorphic, make_lens, oriented_homeomorphic
 from lenspairs.search import SearchConfig, find_coincidences, verify_family, verify_no_nonintegral_pairs
 from lenspairs.sequences import check_identity, fib
+from oracles import basic_stats_bruteforce
 
 
 def report(name, elapsed=None):

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from lenspairs.cli import run
+from lenspairs.sequences import fib
 
 # the fixed regression set: (argv, expected exit code)
 REGRESSION_SET = [
@@ -46,6 +47,13 @@ def test_dual_output(capsys):
     assert run(["dual", "2", "3"]) == 0
     out = capsys.readouterr().out
     assert "L(19,11)" in out and "k=7" in out and "phi=2" in out and "hyperbolic" in out
+
+
+def test_dual_fibonacci_n_1000(capsys):
+    assert run(["--jsonl", "dual", str(fib(1002)), str(fib(1000))]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record["hyperbolic"] is True
+    assert len(str(record["p"])) == 419
 
 
 def test_verify_output(capsys):

@@ -1,4 +1,5 @@
 import random
+import time
 from math import gcd
 
 import pytest
@@ -6,13 +7,14 @@ import pytest
 from lenspairs.dualknot import (
     BasicSequenceStats,
     DualKnotTriple,
+    _floor_sum,
     basic_stats,
-    basic_stats_bruteforce,
     fibonacci_kplus_data,
     kplus_dual,
     kplus_is_hyperbolic,
 )
 from lenspairs.sequences import fib
+from oracles import basic_stats_bruteforce
 
 
 def random_triple(rng, p_max):
@@ -73,6 +75,65 @@ def test_streaming_equals_bruteforce():
     for _ in range(500):
         triple = random_triple(rng, 5000)
         assert basic_stats(triple) == basic_stats_bruteforce(triple)
+
+
+def test_floor_sum_matches_direct_sum():
+    rng = random.Random(53)
+    for _ in range(2000):
+        n, m = rng.randrange(0, 60), rng.randrange(1, 60)
+        a, b = rng.randrange(-200, 200), rng.randrange(-200, 200)
+        assert _floor_sum(n, m, a, b) == sum((a * i + b) // m for i in range(n))
+
+
+def test_basic_stats_edge_triples():
+    triples = [DualKnotTriple(2, 1, 1)]
+    for p in (3, 4, 5, 12, 97, 100):
+        for q in range(1, p):
+            if gcd(p, q) != 1:
+                continue
+            # k = 1, k = p-1, h = 1 (k = q) and h = p-1 (k = -q)
+            triples += [DualKnotTriple(p, q, k) for k in {1, p - 1, q, p - q}]
+    for triple in triples:
+        assert basic_stats(triple) == basic_stats_bruteforce(triple)
+
+
+def test_basic_stats_matches_bruteforce_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def triples(draw):
+        p = draw(st.integers(2, 3000))
+        q = draw(st.integers(1, p - 1).filter(lambda q: gcd(p, q) == 1))
+        return DualKnotTriple(p, q, draw(st.integers(1, p - 1)))
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(triples())
+    def check(triple):
+        assert basic_stats(triple) == basic_stats_bruteforce(triple)
+
+    check()
+
+
+def test_fibonacci_phi_at_n_1000():
+    start = time.perf_counter()
+    triple = fibonacci_kplus_data(1000)
+    stats = basic_stats(triple)
+    elapsed = time.perf_counter() - start
+    assert len(str(triple.p)) == 419
+    assert stats.phi >= 2
+    assert stats.s + stats.ell == stats.h - 1
+    assert stats.s_prime + stats.ell_prime == triple.p - 1 - stats.h
+    assert stats.phi == min(stats.s, stats.ell, stats.s_prime, stats.ell_prime)
+    # the flip k -> p - k runs two other floor sums and must permute the counts
+    flipped = basic_stats(DualKnotTriple(triple.p, triple.q, triple.p - triple.k))
+    assert (flipped.s, flipped.ell, flipped.s_prime, flipped.ell_prime) == (
+        stats.ell_prime,
+        stats.s_prime,
+        stats.ell,
+        stats.s,
+    )
+    assert elapsed < 1.0
 
 
 def test_hyperbolicity_examples():

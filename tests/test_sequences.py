@@ -3,6 +3,7 @@ from math import gcd
 import pytest
 
 from lenspairs.sequences import IDENTITIES, InvalidIndex, check_identity, fib, pair
+from oracles import fib_loop
 
 
 def test_fib_values():
@@ -12,6 +13,11 @@ def test_fib_values():
     assert fib(10) == 55
     with pytest.raises(InvalidIndex):
         fib(-1)
+
+
+def test_fib_matches_loop():
+    for n in range(3000):
+        assert fib(n) == fib_loop(n)
 
 
 def test_pair_values():
