@@ -14,28 +14,9 @@ import sys
 
 from . import bqf, search
 from .dualknot import basic_stats, kplus_dual
-from .knots import (
-    InvalidKnot,
-    Lens,
-    ReducibleTwoLens,
-    SurgerySlope,
-    cable,
-    kplus,
-    lens_surgery,
-    tangle_hh,
-    tangle_th,
-    torus,
-)
+from .knots import FAMILIES, KnotDescriptor, Lens, ReducibleTwoLens, SurgerySlope, lens_surgery
 from .lens import homeomorphic, make_lens, oriented_homeomorphic
 from .sequences import IDENTITIES, check_identity
-
-_BUILDERS = {
-    "torus": (torus, 2),
-    "cable": (cable, 3),
-    "kplus": (kplus, 2),
-    "tangleHH": (tangle_hh, 1),
-    "tangleTH": (tangle_th, 1),
-}
 
 
 def _parse_slope(text: str) -> SurgerySlope:
@@ -64,10 +45,7 @@ def _emit(args, obj: dict, text: str) -> None:
 
 
 def _cmd_surgery(args) -> int:
-    builder, arity = _BUILDERS[args.family]
-    if len(args.params) != arity:
-        raise InvalidKnot(f"{args.family} takes {arity} parameters, got {len(args.params)}")
-    knot = builder(*args.params)
+    knot = KnotDescriptor(args.family, tuple(args.params))
     result = lens_surgery(knot, args.slope)
     if isinstance(result, Lens):
         _emit(
@@ -248,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
 
     p_surgery = sub.add_parser("surgery", help="evaluate m/n-surgery on a knot")
-    p_surgery.add_argument("family", choices=sorted(_BUILDERS))
+    p_surgery.add_argument("family", choices=sorted(FAMILIES))
     p_surgery.add_argument("params", nargs="+", type=int)
     p_surgery.add_argument("--slope", required=True, type=_parse_slope, help="slope as m/n")
     p_surgery.set_defaults(cmd=_cmd_surgery)
@@ -291,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(cmd=_cmd_verify)
 
     p_search = sub.add_parser("search", help="search for knots sharing slope and lens space")
-    p_search.add_argument("--families", default=",".join(sorted(search.ALL_FAMILIES)))
+    p_search.add_argument("--families", default=",".join(sorted(FAMILIES)))
     p_search.add_argument("--order-max", type=int, default=500)
     p_search.add_argument("--torus-max", type=int, default=500)
     p_search.add_argument("--cable-max", type=int, default=500)

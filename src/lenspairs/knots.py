@@ -11,11 +11,15 @@ Five families are modelled, each by a small tuple of positive integers:
   filling with a lens summand.
 * ``kplus(a, b)``: the doubly primitive knot on the genus-one fiber of the
   trefoil, a, b >= 1 coprime; (a^2+ab+b^2)-surgery yields
-  L(a^2+ab+b^2, (a/b)^2).
+  L(a^2+ab+b^2, (a/b)^2), read from ``dualknot.kplus_dual``.
 * ``tangleHH(n)`` and ``tangleTH(n)``: hyperbolic knots built from two
   tangle families, n >= 1.  They are data-backed: only the designated
   integral slope (27n^2+45n+21 resp. 18n^2+33n+15) has a recorded filling,
   every other slope reports an unknown outcome rather than guessing.
+
+``_TABLE`` is the one home of per-family knowledge, for this module, the
+search and the command line.  Adding a family means adding one entry, one
+constructor and one ``--*-max`` search bound.
 
 Only right-handed representatives and positive slopes are modelled; mirror
 images are out of scope.
@@ -23,10 +27,11 @@ images are out of scope.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, isqrt
 
-from .dualknot import kplus_is_hyperbolic
+from .dualknot import kplus_dual, kplus_is_hyperbolic
 from .lens import LensSpace, make_lens
 
 __all__ = [
@@ -48,8 +53,6 @@ __all__ = [
     "torus",
 ]
 
-FAMILIES = ("torus", "cable", "kplus", "tangleHH", "tangleTH")
-
 
 class InvalidKnot(ValueError):
     """Parameters violate the family's coprimality or range constraints."""
@@ -57,47 +60,41 @@ class InvalidKnot(ValueError):
 
 @dataclass(frozen=True, order=True)
 class KnotDescriptor:
-    """A knot given by its family tag and family-specific parameters."""
+    """A knot given by its family tag and family-specific parameters, checked by ``_TABLE``."""
 
     family: str
     params: tuple[int, ...]
 
+    def __post_init__(self):
+        entry = _TABLE.get(self.family)
+        if entry is None:
+            raise InvalidKnot(f"unknown family {self.family!r}")
+        if len(self.params) != entry.arity:
+            raise InvalidKnot(f"{self.family} takes {entry.arity} parameters, got {len(self.params)}")
+        if not entry.valid(*self.params):
+            raise InvalidKnot(f"{self.family} {entry.rule}, got {self.params}")
+
     def __str__(self):
-        if self.family == "cable":
-            a, b, eps = self.params
-            return f"cable({a},{b},{'+1' if eps > 0 else '-1'})"
-        return f"{self.family}({','.join(str(v) for v in self.params)})"
+        return _TABLE[self.family].text.format(*self.params)
 
 
 def torus(p: int, q: int) -> KnotDescriptor:
-    if p < 2 or q < 2 or gcd(p, q) != 1:
-        raise InvalidKnot(f"torus parameters must be coprime and >= 2, got ({p}, {q})")
     return KnotDescriptor("torus", (p, q))
 
 
 def cable(a: int, b: int, eps: int) -> KnotDescriptor:
-    if a < 2 or b < 2 or gcd(a, b) != 1:
-        raise InvalidKnot(f"cable companion parameters must be coprime and >= 2, got ({a}, {b})")
-    if eps not in (1, -1):
-        raise InvalidKnot(f"cable sign must be +1 or -1, got {eps}")
     return KnotDescriptor("cable", (a, b, eps))
 
 
 def kplus(a: int, b: int) -> KnotDescriptor:
-    if a < 1 or b < 1 or gcd(a, b) != 1:
-        raise InvalidKnot(f"kplus parameters must be coprime and >= 1, got ({a}, {b})")
     return KnotDescriptor("kplus", (a, b))
 
 
 def tangle_hh(n: int) -> KnotDescriptor:
-    if n < 1:
-        raise InvalidKnot(f"tangleHH index must be >= 1, got {n}")
     return KnotDescriptor("tangleHH", (n,))
 
 
 def tangle_th(n: int) -> KnotDescriptor:
-    if n < 1:
-        raise InvalidKnot(f"tangleTH index must be >= 1, got {n}")
     return KnotDescriptor("tangleTH", (n,))
 
 
@@ -149,113 +146,183 @@ class NotLens:
 
 SurgeryResult = Lens | ReducibleTwoLens | NotLens
 
+_NO_LENS = NotLens("slope-condition-fails")
+_CABLING = NotLens("unknown-for-family", note="cabling slope: reducible filling with a lens space summand")
 
-def _lens_slopes(family: str, params: tuple[int, ...], den: int = 1) -> list[tuple[int, int]]:
-    """The lens slopes m/den of a knot as pairs (m, q): m/den-surgery gives L(m, q).
 
-    q is reduced mod m.  This is the one place that holds each family's
-    surgery formulas; ``lens_surgery``, ``natural_slope`` and the coincidence
-    search all read them from here.
-    """
-    if family == "torus":
-        p, q = params
-        slopes = [(den * p * q - 1, den * q * q), (den * p * q + 1, den * q * q)]
-    elif family not in FAMILIES:
-        raise InvalidKnot(f"unknown family {family!r}")
-    elif den != 1:
-        return []
-    elif family == "cable":
-        a, b, eps = params
-        slopes = [(4 * a * b + eps, 4 * b * b)]
-    elif family == "kplus":
-        a, b = params
-        order = a * a + a * b + b * b
-        w = a * pow(b, -1, order)
-        slopes = [(order, w * w)]
-    elif family == "tangleHH":
-        (n,) = params
-        slopes = [(27 * n * n + 45 * n + 21, -(9 * n * n + 12 * n + 5))]
-    else:
-        (n,) = params
-        slopes = [(18 * n * n + 33 * n + 15, -(18 * n + 19))]
-    return [(m, q % m) for m, q in slopes]
+def _integral(formula):
+    # formula(*params) is the one lens slope; a non-torus knot has no other (cyclic surgery theorem)
+    return lambda den, *params: (formula(*params),) if den == 1 else ()
+
+
+def _kplus_slope(a, b):
+    dual = kplus_dual(a, b)
+    return dual.p, dual.q
+
+
+def _coprime_pairs(top, lo, hi, k):
+    for a in range(2, top + 1):
+        last = min(top, hi // (k * a))  # coprime 2 <= a < b <= last have k*a*b - 1 < hi
+        if last <= a:
+            break
+        for b in range(max(a + 1, -(-(lo - 1) // (k * a))), last + 1):
+            if gcd(a, b) == 1:
+                yield a, b
+
+
+def _torus_rows(family, slopes, top, lo, hi, dens):
+    for n in dens:
+        for p, q in _coprime_pairs(top, lo, hi, n):
+            for m, raw_q in slopes(n, p, q):
+                if lo <= m < hi:
+                    yield m, n, family, (p, q), raw_q
+
+
+def _cable_rows(family, slopes, top, lo, hi, dens):
+    for a, b in _coprime_pairs(top, lo, hi, 4):
+        for eps in (-1, 1):
+            ((m, raw_q),) = slopes(1, a, b, eps)
+            if lo <= m < hi:
+                yield m, 1, family, (a, b, eps), raw_q
+
+
+def _kplus_rows(family, slopes, top, lo, hi, dens):
+    for a in range(1, top + 1):
+        if 3 * a * a >= hi:  # kplus(a, a) has the least order of all kplus(a, b >= a)
+            break
+        # every b below start has order a^2 + ab + b^2 < lo
+        start = max(a, (isqrt(max(0, 4 * lo - 3 * a * a)) - a) // 2)
+        for b in range(start, top + 1):
+            if gcd(a, b) == 1:
+                ((m, raw_q),) = slopes(1, a, b)
+                if m >= hi:
+                    break
+                if m >= lo:
+                    yield m, 1, family, (a, b), raw_q
+
+
+def _index_rows(family, slopes, top, lo, hi, dens):
+    # one parameter n >= 1, and the lens order grows with n
+    for n in range(1, top + 1):
+        ((m, raw_q),) = slopes(1, n)
+        if m >= hi:
+            break
+        if m >= lo:
+            yield m, 1, family, (n,), raw_q
+
+
+@dataclass(frozen=True)
+class _Family:
+    """What the package knows about one knot family, as functions of its parameters."""
+
+    arity: int
+    text: str  # format template of str(knot)
+    valid: Callable  # (*params) -> True when they name a knot of the family
+    rule: str  # what ``valid`` asks of the parameters
+    slopes: Callable  # (den, *params) -> lens slopes ((m, q), ...): m/den-surgery gives L(m, q)
+    rows: Callable  # (family, slopes, top, lo, hi, dens) -> the search rows of ``_rows``
+    cap: str  # the SearchConfig field that bounds the parameters in ``rows``
+    other: Callable = lambda m, n, *params: NotLens("unknown-for-family")  # outcome at other slopes m/n
+    genus: Callable = lambda *params: None  # (*params) -> genus, or None where no formula is known
+    symmetric: bool = False  # (a, b, ...) and (b, a, ...) are the same knot
+    is_torus: bool = False
+    not_torus: bool = False  # certified not a torus knot
+    not_hyperbolic: bool = False  # certified not hyperbolic
+    hyperbolic: Callable = lambda *params: False  # (*params) -> True when certified hyperbolic
+
+
+# One entry per family, in FAMILIES order (the key order); each line of an entry is one aspect.
+_TABLE = {
+    "torus": _Family(
+        arity=2, text="torus({},{})", rows=_torus_rows, cap="torus_max",
+        valid=lambda p, q: p >= 2 and q >= 2 and gcd(p, q) == 1, rule="parameters must be coprime and >= 2",
+        slopes=lambda den, p, q: ((den * p * q - 1, den * q * q), (den * p * q + 1, den * q * q)),
+        other=lambda m, n, p, q: ReducibleTwoLens(p, q) if (m, n) == (p * q, 1) else _NO_LENS,
+        genus=lambda p, q: (p - 1) * (q - 1) // 2, symmetric=True,
+        is_torus=True, not_hyperbolic=True,
+    ),
+    "cable": _Family(
+        arity=3, text="cable({},{},{:+d})", rows=_cable_rows, cap="cable_max",
+        valid=lambda a, b, eps: a >= 2 and b >= 2 and gcd(a, b) == 1 and eps in (1, -1),
+        rule="companion parameters must be coprime and >= 2 and the sign +1 or -1",
+        slopes=_integral(lambda a, b, eps: (4 * a * b + eps, 4 * b * b)),
+        other=lambda m, n, a, b, eps: _CABLING if (m, n) == (4 * a * b + 2 * eps, 1) else _NO_LENS,
+        symmetric=True,
+        not_torus=True, not_hyperbolic=True,  # a satellite knot
+    ),
+    "kplus": _Family(
+        arity=2, text="kplus({},{})", rows=_kplus_rows, cap="kplus_max",
+        valid=lambda a, b: a >= 1 and b >= 1 and gcd(a, b) == 1, rule="parameters must be coprime and >= 1",
+        slopes=_integral(_kplus_slope),
+        genus=lambda a, b: ((a + b - 1) ** 2 - a * b) // 2, symmetric=True,
+        hyperbolic=kplus_is_hyperbolic,  # phi >= 2
+    ),
+    "tangleHH": _Family(
+        arity=1, text="tangleHH({})", rows=_index_rows, cap="tangle_max",
+        valid=lambda n: n >= 1, rule="index must be >= 1",
+        slopes=_integral(lambda n: (27 * n * n + 45 * n + 21, -(9 * n * n + 12 * n + 5))),
+        genus=lambda n: (27 * n * n + 33 * n + 10) // 2,
+        not_torus=True,  # hyperbolic by construction, which no certificate here checks
+    ),
+    "tangleTH": _Family(
+        arity=1, text="tangleTH({})", rows=_index_rows, cap="tangle_max",
+        valid=lambda n: n >= 1, rule="index must be >= 1",
+        slopes=_integral(lambda n: (18 * n * n + 33 * n + 15, -(18 * n + 19))),
+        not_torus=True,  # hyperbolic by construction, which no certificate here checks
+    ),
+}
+
+FAMILIES = tuple(_TABLE)
+
+
+def _rows(family: str, config, lo: int, hi: int):
+    """Yield (m, n, family, params, q) for each knot of the family up to its ``config``
+    cap and each lens slope m/n with lo <= m < hi, giving L(m, q), q not yet reduced."""
+    entry = _TABLE[family]
+    return entry.rows(family, entry.slopes, getattr(config, entry.cap), lo, hi, config.slope_denominators)
 
 
 def lens_surgery(knot: KnotDescriptor, slope: SurgerySlope) -> SurgeryResult:
     """Evaluate m/n-surgery on the knot into the lens trichotomy."""
     if slope.m <= 0:
         raise ValueError("only positive slopes are modelled")
-    for m, q in _lens_slopes(knot.family, knot.params, slope.n):
+    for m, q in _TABLE[knot.family].slopes(slope.n, *knot.params):
         if m == slope.m:
             return Lens(make_lens(m, q))
-    if knot.family == "torus":
-        p, q = knot.params
-        if slope.n == 1 and slope.m == p * q:
-            return ReducibleTwoLens(p, q)
-        return NotLens("slope-condition-fails")
-    if knot.family == "cable":
-        ((m, _),) = _lens_slopes("cable", knot.params)
-        if slope.n == 1 and slope.m == m + knot.params[2]:
-            return NotLens(
-                "unknown-for-family",
-                note="cabling slope: reducible filling with a lens space summand",
-            )
-        return NotLens("slope-condition-fails")
-    return NotLens("unknown-for-family")
+    return _TABLE[knot.family].other(slope.m, slope.n, *knot.params)
 
 
 def natural_slope(knot: KnotDescriptor) -> SurgerySlope | None:
-    """The designated integral lens slope of the family; None for torus knots."""
-    if knot.family == "torus":
-        return None
-    ((m, _),) = _lens_slopes(knot.family, knot.params)
-    return SurgerySlope(m)
+    """The knot's one integral lens slope; None for torus knots, which have two."""
+    slopes = _TABLE[knot.family].slopes(1, *knot.params)
+    return SurgerySlope(slopes[0][0]) if len(slopes) == 1 else None
 
 
 def genus(knot: KnotDescriptor) -> int | None:
     """Knot genus where a formula is available (torus, kplus, tangleHH)."""
-    if knot.family == "torus":
-        p, q = knot.params
-        return (p - 1) * (q - 1) // 2
-    if knot.family == "kplus":
-        a, b = knot.params
-        return ((a + b - 1) ** 2 - a * b) // 2
-    if knot.family == "tangleHH":
-        (n,) = knot.params
-        return (27 * n * n + 33 * n + 10) // 2
-    return None
-
-
-def _normalized(knot: KnotDescriptor) -> tuple:
-    # canonical parameters modulo the family's symmetry
-    if knot.family in ("torus", "kplus"):
-        return (knot.family, tuple(sorted(knot.params)))
-    if knot.family == "cable":
-        a, b, eps = knot.params
-        return ("cable", (min(a, b), max(a, b), eps))
-    return (knot.family, knot.params)
+    return _TABLE[knot.family].genus(*knot.params)
 
 
 def distinct(first: KnotDescriptor, second: KnotDescriptor) -> str:
     """Decide non-equivalence: returns "equal", "distinct" or "unknown".
 
-    Same family: compare parameters up to the symmetries torus(p,q) =
-    torus(q,p), kplus(a,b) = kplus(b,a), cable(a,b,e) = cable(b,a,e).
-    Across families the certificates are: torus knots are never cables or
-    tangle-family knots; unequal genus; and a kplus knot with phi >= 2 is
-    hyperbolic, hence neither a torus knot nor a cable.  Anything the
-    certificates cannot separate is reported "unknown", never overclaimed.
+    Same family: compare parameters up to the family's symmetry.  Across
+    families the certificates, in order: a torus knot against a family
+    certified non-torus; unequal genus; a knot certified hyperbolic (kplus
+    with phi >= 2) against a family certified non-hyperbolic.  Anything
+    else is reported "unknown", never overclaimed.
     """
-    if first.family == second.family:
-        return "equal" if _normalized(first) == _normalized(second) else "distinct"
-    fams = {first.family, second.family}
-    if "torus" in fams and fams & {"cable", "tangleHH", "tangleTH"}:
+    one, two = _TABLE[first.family], _TABLE[second.family]
+    if one is two:
+        p = first.params
+        same = p == second.params or (one.symmetric and (p[1], p[0], *p[2:]) == second.params)
+        return "equal" if same else "distinct"
+    if (one.is_torus and two.not_torus) or (two.is_torus and one.not_torus):
         return "distinct"
     g1, g2 = genus(first), genus(second)
     if g1 is not None and g2 is not None and g1 != g2:
         return "distinct"
-    if "kplus" in fams and fams & {"torus", "cable"}:
-        kp = first if first.family == "kplus" else second
-        if kplus_is_hyperbolic(*kp.params):
+    for knot, entry, other in ((first, one, two), (second, two, one)):
+        if other.not_hyperbolic and entry.hyperbolic(*knot.params):
             return "distinct"
     return "unknown"

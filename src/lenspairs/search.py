@@ -29,13 +29,14 @@ import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from math import gcd, isqrt
+from math import gcd
 
 from .knots import (
+    FAMILIES,
     KnotDescriptor,
     Lens,
     SurgerySlope,
-    _lens_slopes,
+    _rows,
     cable,
     distinct,
     kplus,
@@ -60,14 +61,11 @@ __all__ = [
     "verify_no_nonintegral_pairs",
 ]
 
-ALL_FAMILIES = frozenset({"torus", "cable", "kplus", "tangleHH", "tangleTH"})
-
-
 @dataclass(frozen=True)
 class SearchConfig:
     """Bounds and options for one enumeration run."""
 
-    families: frozenset = ALL_FAMILIES
+    families: frozenset = frozenset(FAMILIES)
     torus_max: int = 500
     cable_max: int = 500
     kplus_max: int = 60
@@ -79,8 +77,8 @@ class SearchConfig:
     def __post_init__(self):
         object.__setattr__(self, "families", frozenset(self.families))
         object.__setattr__(self, "slope_denominators", frozenset(self.slope_denominators))
-        if not self.families <= ALL_FAMILIES:
-            raise ValueError(f"unknown families {sorted(self.families - ALL_FAMILIES)}")
+        if not self.families <= set(FAMILIES):
+            raise ValueError(f"unknown families {sorted(self.families - set(FAMILIES))}")
         for name in ("torus_max", "cable_max", "kplus_max", "tangle_max", "order_max", "workers"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
@@ -89,58 +87,10 @@ class SearchConfig:
 
 
 def _shard_rows(config: SearchConfig, lo: int, hi: int):
-    """Yield (m, n, family, params, q) for every candidate with lo <= m < hi.
-
-    m/n is the candidate's lens slope and L(m, q) its lens space, both from
-    ``knots._lens_slopes``.  Loops stop where the smallest slope numerator
-    the remaining parameters can reach is at least hi; rows come in no
-    particular order.
-    """
+    """Yield (m, n, family, params, q) for every candidate with lo <= m < hi,
+    from the family enumerators of ``knots``; rows come in no particular order."""
     hi = min(hi, config.order_max + 1)
-    fams = config.families
-    if "torus" in fams:
-        for n in config.slope_denominators:
-            for p in range(2, config.torus_max + 1):
-                top = min(config.torus_max, hi // (n * p))  # n*p*q - 1 < hi
-                if top <= p:
-                    break
-                for q in range(max(p + 1, -(-(lo - 1) // (n * p))), top + 1):
-                    if gcd(p, q) == 1:
-                        for m, raw_q in _lens_slopes("torus", (p, q), n):
-                            if lo <= m < hi:
-                                yield m, n, "torus", (p, q), raw_q
-    if "cable" in fams:
-        for a in range(2, config.cable_max + 1):
-            top = min(config.cable_max, hi // (4 * a))  # 4*a*b - 1 < hi
-            if top <= a:
-                break
-            for b in range(max(a + 1, -(-(lo - 1) // (4 * a))), top + 1):
-                if gcd(a, b) == 1:
-                    for eps in (-1, 1):
-                        ((m, raw_q),) = _lens_slopes("cable", (a, b, eps))
-                        if lo <= m < hi:
-                            yield m, 1, "cable", (a, b, eps), raw_q
-    if "kplus" in fams:
-        for a in range(1, config.kplus_max + 1):
-            if 3 * a * a >= hi:  # kplus(a, a) has the least order of all kplus(a, b >= a)
-                break
-            # every b below start has order a^2 + ab + b^2 < lo
-            start = max(a, (isqrt(max(0, 4 * lo - 3 * a * a)) - a) // 2)
-            for b in range(start, config.kplus_max + 1):
-                if gcd(a, b) == 1:
-                    ((m, raw_q),) = _lens_slopes("kplus", (a, b))
-                    if m >= hi:
-                        break
-                    if m >= lo:
-                        yield m, 1, "kplus", (a, b), raw_q
-    for family in ("tangleHH", "tangleTH"):
-        if family in fams:
-            for n in range(1, config.tangle_max + 1):
-                ((m, raw_q),) = _lens_slopes(family, (n,))
-                if m >= hi:
-                    break
-                if m >= lo:
-                    yield m, 1, family, (n,), raw_q
+    return itertools.chain.from_iterable(_rows(f, config, lo, hi) for f in FAMILIES if f in config.families)
 
 
 def enumerate_surgeries(config: SearchConfig):
@@ -213,7 +163,7 @@ def _shard_records(task) -> list[CoincidenceRecord]:
     config, lo, hi = task
     buckets: dict = {}
     for m, n, family, params, q in _shard_rows(config, lo, hi):
-        buckets.setdefault((m, n, min(_parameter_orbit(m, q))), []).append((family, params, q))
+        buckets.setdefault((m, n, min(_parameter_orbit(m, q % m))), []).append((family, params, q))
     records = []
     for (m, n, q_min), rows in buckets.items():
         if len(rows) >= 2:

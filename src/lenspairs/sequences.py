@@ -70,10 +70,13 @@ def pair(family: str, n: int) -> SequencePair:
     if family == "fibonacci":
         return SequencePair(family, n, fib(n + 2), fib(n + 3) + fib(n + 1))
     if family == "pell":
-        a, b = 2, 3
-        for _ in range(n - 1):
-            a, b = a + b, 2 * a + b
-        return SequencePair(family, n, a, b)
+        # b_n + a_n sqrt(2) = (1 + sqrt(2))^(n+1), by squaring in Z[sqrt(2)]
+        x, y = 1, 0
+        for bit in bin(n + 1)[2:]:
+            x, y = x * x + 2 * y * y, 2 * x * y
+            if bit == "1":
+                x, y = x + 2 * y, x + y
+        return SequencePair(family, n, y, x)
     raise InvalidIndex(f"unknown family {family!r}")
 
 

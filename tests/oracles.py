@@ -7,7 +7,15 @@ family table of ``lenspairs.knots`` answers."""
 from __future__ import annotations
 
 from lenspairs.dualknot import BasicSequenceStats, DualKnotTriple, kplus_is_hyperbolic
-from lenspairs.knots import FAMILIES, InvalidKnot, KnotDescriptor, Lens, NotLens, ReducibleTwoLens, SurgerySlope
+from lenspairs.knots import (
+    FAMILIES,
+    InvalidKnot,
+    KnotDescriptor,
+    Lens,
+    NotLens,
+    ReducibleTwoLens,
+    SurgerySlope,
+)
 from lenspairs.lens import make_lens
 
 
@@ -33,9 +41,17 @@ def fib_loop(n: int) -> int:
     return a
 
 
-# The per-family rules of lenspairs.knots as they stood before its family
-# table, copied verbatim: one if-chain per question.  The table must give
-# the same answers on every knot.
+def pell_loop(n: int) -> tuple[int, int]:
+    """The pell pair (a_n, b_n) by n-1 steps of the recurrence, n >= 1."""
+    a, b = 2, 3
+    for _ in range(n - 1):
+        a, b = a + b, 2 * a + b
+    return a, b
+
+
+# The per-family rules of lenspairs.knots as one if-chain per question, the
+# form they had before the family table, with their logic unchanged.  The
+# table must give the same answers on every knot.
 
 
 def _lens_slopes(family: str, params: tuple[int, ...], den: int = 1) -> list[tuple[int, int]]:

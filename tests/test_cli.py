@@ -1,8 +1,10 @@
+import argparse
 import json
 
 import pytest
 
-from lenspairs.cli import run
+from lenspairs import knots
+from lenspairs.cli import build_parser, run
 from lenspairs.sequences import fib
 
 # the fixed regression set: (argv, expected exit code)
@@ -20,6 +22,16 @@ REGRESSION_SET = [
     (["verify", "torus_torus", "--range", "1..5"], 0),
     (["bqf", "scan", "--a-min", "1", "--a-max", "1", "--bc-max", "8", "--n", "3..3"], 1),
     (["bqf", "unit", "244"], 0),
+    (["surgery", "kplus", "2", "3", "--slope", "19/1"], 0),
+    (["surgery", "tangleHH", "1", "--slope", "93/1"], 0),
+    (["surgery", "tangleTH", "1", "--slope", "66/1"], 0),
+    (["surgery", "torus", "3", "--slope", "13/1"], 2),
+    (["surgery", "cable", "2", "3", "--slope", "25/1"], 2),
+    (["surgery", "kplus", "2", "--slope", "19/1"], 2),
+    (["surgery", "tangleHH", "1", "2", "--slope", "93/1"], 2),
+    (["surgery", "tangleTH", "1", "2", "--slope", "66/1"], 2),
+    (["surgery", "cable", "2", "3", "0", "--slope", "25/1"], 2),
+    (["search", "--families", "torus,nosuch"], 2),
 ]
 
 
@@ -27,6 +39,12 @@ REGRESSION_SET = [
 def test_exit_codes(argv, expected, capsys):
     assert run(argv) == expected
     capsys.readouterr()
+
+
+def test_surgery_family_choices():
+    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    (family,) = [a for a in commands.choices["surgery"]._actions if a.dest == "family"]
+    assert family.choices == sorted(knots.FAMILIES)
 
 
 def test_surgery_output(capsys):

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from lenspairs.knots import Lens, SurgerySlope, cable, kplus, lens_surgery, tangle_hh, tangle_th, torus
+from lenspairs.knots import FAMILIES, Lens, SurgerySlope, cable, kplus, lens_surgery, tangle_hh, tangle_th, torus
 from lenspairs.lens import canonical_form, make_lens
 from lenspairs import search
 from lenspairs.search import (
@@ -111,7 +111,7 @@ def test_enumerated_triples_match_lens_surgery():
     config = SearchConfig(order_max=3000, torus_max=60, cable_max=30, kplus_max=40, tangle_max=9,
                           slope_denominators={1, 2, 3})
     triples = list(enumerate_surgeries(config))
-    assert {knot.family for knot, _, _ in triples} == set(search.ALL_FAMILIES)
+    assert {knot.family for knot, _, _ in triples} == set(FAMILIES)
     for knot, slope, space in triples:
         assert lens_surgery(knot, slope) == Lens(space)
 

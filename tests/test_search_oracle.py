@@ -14,9 +14,9 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from lenspairs.knots import Lens, SurgerySlope, cable, distinct, kplus, lens_surgery, tangle_hh, tangle_th, torus
+from lenspairs.knots import FAMILIES, Lens, SurgerySlope, cable, distinct, kplus, lens_surgery, tangle_hh, tangle_th, torus
 from lenspairs.lens import canonical_form
-from lenspairs.search import ALL_FAMILIES, SearchConfig, find_coincidences
+from lenspairs.search import SearchConfig, find_coincidences
 
 
 def oracle_knots(config):
@@ -70,7 +70,7 @@ def oracle_records(config):
 
 configs = st.builds(
     SearchConfig,
-    families=st.sets(st.sampled_from(sorted(ALL_FAMILIES)), min_size=1),
+    families=st.sets(st.sampled_from(sorted(FAMILIES)), min_size=1),
     torus_max=st.integers(2, 10),
     cable_max=st.integers(2, 6),
     kplus_max=st.integers(1, 8),

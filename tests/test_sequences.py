@@ -3,7 +3,7 @@ from math import gcd
 import pytest
 
 from lenspairs.sequences import IDENTITIES, InvalidIndex, check_identity, fib, pair
-from oracles import fib_loop
+from oracles import fib_loop, pell_loop
 
 
 def test_fib_values():
@@ -18,6 +18,12 @@ def test_fib_values():
 def test_fib_matches_loop():
     for n in range(3000):
         assert fib(n) == fib_loop(n)
+
+
+def test_pell_matches_loop():
+    for n in range(1, 3000):
+        cur = pair("pell", n)
+        assert (cur.a, cur.b) == pell_loop(n)
 
 
 def test_pair_values():
