@@ -1,8 +1,9 @@
 """Independent reference implementations that the library is tested against.
 
 The walks materialise every term, so they are only fit for small inputs.
-The family rules at the end restate, one if-chain per question, what the
-family table of ``lenspairs.knots`` answers."""
+The family rules restate, one if-chain per question, what the family table
+of ``lenspairs.knots`` answers, and ``family_pair`` states the knots and the
+shared slope of each verified construction by the paper's formulas."""
 
 from __future__ import annotations
 
@@ -15,8 +16,14 @@ from lenspairs.knots import (
     NotLens,
     ReducibleTwoLens,
     SurgerySlope,
+    cable,
+    kplus,
+    tangle_hh,
+    tangle_th,
+    torus,
 )
 from lenspairs.lens import make_lens
+from lenspairs.sequences import InvalidIndex, fib, pair
 
 
 def basic_stats_bruteforce(triple: DualKnotTriple) -> BasicSequenceStats:
@@ -150,3 +157,37 @@ def distinct(first: KnotDescriptor, second: KnotDescriptor) -> str:
         if kplus_is_hyperbolic(*kp.params):
             return "distinct"
     return "unknown"
+
+
+def family_pair(family: str, n: int):
+    """The two knots and their shared slope for instance n of a verified
+    family, by the closed-form slope of each construction in the paper."""
+    if family == "torus_torus":
+        cur, nxt = pair("fibonacci", n), pair("fibonacci", n + 1)
+        return torus(nxt.a, cur.b), torus(cur.a, nxt.b), SurgerySlope(nxt.a * cur.b + (-1) ** (n + 1))
+    if family == "torus_torus_half":
+        cur, nxt = pair("pell", n), pair("pell", n + 1)
+        return torus(cur.a, nxt.b), torus(cur.b, nxt.a), SurgerySlope(2 * cur.a * nxt.b + (-1) ** (n + 1), 2)
+    if family == "torus_cable":
+        return (
+            torus(2 * n + 1, 4 * n + 4),
+            cable(n + 1, 2 * n + 1, 1),
+            SurgerySlope(8 * n * n + 12 * n + 5),
+        )
+    if family == "cable_kplus":
+        fn, fn2 = fib(n), fib(n + 2)
+        eps = -1 if n % 2 else 1
+        return cable(fn, fn2, eps), kplus(fn2, fn), SurgerySlope(4 * fn * fn2 + eps)
+    if family == "tangle_kplus":
+        return (
+            tangle_hh(n),
+            kplus(3 * n + 1, 3 * n + 4),
+            SurgerySlope(27 * n * n + 45 * n + 21),
+        )
+    if family == "torus_tangle":
+        return (
+            torus(3 * n + 2, 6 * n + 7),
+            tangle_th(n),
+            SurgerySlope(18 * n * n + 33 * n + 15),
+        )
+    raise InvalidIndex(f"unknown verification family {family!r}")

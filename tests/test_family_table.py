@@ -1,10 +1,12 @@
 """The family table of lenspairs.knots against the per-family if-chains it
-replaced (``tests/oracles.py``), on every small knot of all five families."""
+replaced (``tests/oracles.py``), on every small knot of all five families,
+and the verified constructions against the paper's slope formulas."""
 
 from math import gcd
 
 import oracles
 from lenspairs.knots import (
+    _TABLE,
     SurgerySlope,
     cable,
     distinct,
@@ -16,6 +18,7 @@ from lenspairs.knots import (
     tangle_th,
     torus,
 )
+from lenspairs.search import VERIFY_FAMILIES, verify_family
 
 DENOMINATORS = (1, 2, 3)
 
@@ -53,3 +56,25 @@ def test_distinct_matches_rules_on_every_ordered_pair():
     for first in KNOTS:
         for second in KNOTS:
             assert distinct(first, second) == oracles.distinct(first, second), (first, second)
+
+
+def _first_n(family):
+    return 3 if family == "cable_kplus" else 1
+
+
+def test_verify_slopes_match_paper_formulas():
+    # the witness reads "<knot> & <knot> @ <m/n> -> ..."
+    for family in VERIFY_FAMILIES:
+        report = verify_family(family, range(_first_n(family), 200))
+        assert report.passed, family
+        for check in report.checks:
+            first, second, slope = oracles.family_pair(family, check.n)
+            assert check.witness.startswith(f"{first} & {second} @ {slope} -> "), (family, check.n)
+
+
+def test_verify_pairs_share_exactly_one_lens_slope():
+    for family in VERIFY_FAMILIES:
+        for n in range(_first_n(family), 200):
+            first, second, slope = oracles.family_pair(family, n)
+            ms = [{m for m, _ in _TABLE[knot.family].slopes(slope.n, *knot.params)} for knot in (first, second)]
+            assert ms[0] & ms[1] == {slope.m}, (family, n)
