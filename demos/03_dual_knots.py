@@ -11,7 +11,7 @@ the Fibonacci family is checked out to n = 1000, where p has 419 digits.
 
 import time
 
-from lenspairs import basic_stats, fib, fibonacci_kplus_data, kplus_dual, kplus_is_hyperbolic
+from lenspairs import basic_stats, fib, kplus_dual, kplus_is_hyperbolic
 
 for a, b in ((1, 3), (2, 3), (4, 7), (5, 2)):
     triple = kplus_dual(a, b)
@@ -27,10 +27,9 @@ print("\nfamily kplus(3n+1, 3n+4):")
 for n in (1, 5, 20, 40):
     print(f"  n={n:>2}: hyperbolic = {kplus_is_hyperbolic(3 * n + 1, 3 * n + 4)}")
 
-print("\nfamily kplus(F(n+2), F(n)), closed-form triple first:")
+print("\nfamily kplus(F(n+2), F(n)):")
 for n in (3, 8, 15, 100, 1000):
-    triple = fibonacci_kplus_data(n)
-    assert triple == kplus_dual(fib(n + 2), fib(n))
+    triple = kplus_dual(fib(n + 2), fib(n))
     start = time.perf_counter()
     verdict = kplus_is_hyperbolic(fib(n + 2), fib(n))
     elapsed_ms = (time.perf_counter() - start) * 1000

@@ -7,26 +7,23 @@ form equations by the unit-orbit method, and searches exhaustively for
 distinct knots yielding homeomorphic lens spaces by the same surgery.
 """
 
-from .arith import gcd, is_perfect_square
+from .arith import is_perfect_square
 from .bqf import (
     DivisibilityReport,
     FormSolution,
     QuadForm,
     UnitElement,
-    WindowBound,
     apply_unit,
     divisibility_scan,
     fundamental_unit,
     generate_solutions,
     orbit_representatives,
-    solutions_in_box,
     window_bound,
 )
 from .dualknot import (
     BasicSequenceStats,
     DualKnotTriple,
     basic_stats,
-    fibonacci_kplus_data,
     kplus_dual,
     kplus_is_hyperbolic,
 )

@@ -1,15 +1,10 @@
-"""Exact integer arithmetic shared by every other module.
-
-Everything here works on plain Python ints, so no operation can overflow.
-Modular inverses use the built-in ``pow(x, -1, p)``.
-"""
+"""The exact perfect-square test on plain Python ints."""
 
 from __future__ import annotations
 
-from math import gcd, isqrt
+from math import isqrt
 
 __all__ = [
-    "gcd",
     "is_perfect_square",
 ]
 

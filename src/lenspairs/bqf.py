@@ -22,8 +22,7 @@ Every loop ends on a proven period or orbit bound, never on an iteration
 count.
 
 Everything is exact: W is handled as the rational W^2 plus its integer floor,
-and no float appears anywhere.  ``solutions_in_box`` is a self-contained
-exhaustive scan used as ground truth against the orbit machinery.
+and no float appears anywhere.
 """
 
 from __future__ import annotations
@@ -50,7 +49,6 @@ __all__ = [
     "fundamental_unit",
     "generate_solutions",
     "orbit_representatives",
-    "solutions_in_box",
     "window_bound",
 ]
 
@@ -431,34 +429,6 @@ def generate_solutions(form: QuadForm, m: int, count: int) -> list[FormSolution]
                 raise AssertionError(f"orbit walk left the solution set at {sol}")
         out.extend(chain)
     return out
-
-
-def solutions_in_box(form: QuadForm, m: int, bound: int) -> list[FormSolution]:
-    """All solutions with |x|, |y| <= bound, found without the unit machinery.
-
-    Exhausts y and extracts the integer roots in x directly; serves as the
-    independent ground truth for the orbit pipeline.
-    """
-    if bound < 1:
-        raise ValueError("bound must be >= 1")
-    a, b, c = form.A, form.B, form.C
-    found = []
-    for y in range(-bound, bound + 1):
-        # roots of a x^2 + (b y) x + (c y^2 - m) = 0 via its own discriminant
-        disc = (b * y) ** 2 - 4 * a * (c * y * y - m)
-        if disc < 0:
-            continue
-        root = isqrt(disc)
-        if root * root != disc:
-            continue
-        for sign in (root, -root) if root else (0,):
-            num = -b * y + sign
-            if num % (2 * a) == 0:
-                x = num // (2 * a)
-                if abs(x) <= bound:
-                    found.append(FormSolution(x, y))
-    found.sort(key=lambda sol: (sol.y, sol.x))
-    return found
 
 
 @dataclass(frozen=True)

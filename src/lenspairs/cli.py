@@ -9,12 +9,13 @@ verified check, 1 when a verification fails or a counterexample is found,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
 from . import bqf, search
 from .dualknot import basic_stats, kplus_dual
-from .knots import FAMILIES, KnotDescriptor, Lens, ReducibleTwoLens, SurgerySlope, lens_surgery
+from .knots import FAMILIES, KnotDescriptor, Lens, ReducibleTwoLens, SurgerySlope, kplus, lens_surgery
 from .lens import homeomorphic, make_lens, oriented_homeomorphic
 from .sequences import IDENTITIES, check_identity
 
@@ -90,15 +91,16 @@ def _cmd_homeo(args) -> int:
 
 
 def _cmd_dual(args) -> int:
+    knot = kplus(args.a, args.b)
     triple = kplus_dual(args.a, args.b)
     stats = basic_stats(triple)
     hyperbolic = stats.phi >= 2
     _emit(
         args,
-        {"knot": f"kplus({args.a},{args.b})", "p": triple.p, "q": triple.q, "k": triple.k,
+        {"knot": str(knot), "p": triple.p, "q": triple.q, "k": triple.k,
          "h": stats.h, "s": stats.s, "ell": stats.ell, "s_prime": stats.s_prime,
          "ell_prime": stats.ell_prime, "phi": stats.phi, "hyperbolic": hyperbolic},
-        f"kplus({args.a},{args.b}): dual knot in L({triple.p},{triple.q}) with k={triple.k}\n"
+        f"{knot}: dual knot in L({triple.p},{triple.q}) with k={triple.k}\n"
         f"h={stats.h} s={stats.s} ell={stats.ell} s'={stats.s_prime} ell'={stats.ell_prime} "
         f"phi={stats.phi}\n"
         f"{'hyperbolic (phi >= 2)' if hyperbolic else 'not hyperbolic (phi < 2)'}",
@@ -193,11 +195,15 @@ def _cmd_search(args) -> int:
         slope_denominators=frozenset(int(n) for n in args.denominators.split(",")),
         workers=args.workers,
     )
-    records = search.find_coincidences(config)
-    if args.out:
-        with open(args.out, "w") as handle:
-            for record in records:
-                handle.write(record.to_json() + "\n")
+    # open --out before the search, so that a path that cannot be written fails at once
+    try:
+        out = open(args.out, "w") if args.out else contextlib.nullcontext()
+    except OSError as exc:
+        raise ValueError(f"cannot write --out: {exc}") from None
+    with out as handle:
+        records = search.find_coincidences(config)
+        if handle is not None:
+            handle.writelines(record.to_json() + "\n" for record in records)
     if args.jsonl:
         for record in records:
             print(record.to_json())

@@ -19,13 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .sequences import InvalidIndex, fib
-
 __all__ = [
     "BasicSequenceStats",
     "DualKnotTriple",
     "basic_stats",
-    "fibonacci_kplus_data",
     "kplus_dual",
     "kplus_is_hyperbolic",
 ]
@@ -60,17 +57,30 @@ class BasicSequenceStats:
     phi: int
 
 
-def kplus_dual(a: int, b: int) -> DualKnotTriple:
-    """Dual-knot triple of the doubly primitive knot kplus(a, b).
+_KPLUS_RULE = "parameters must be coprime and >= 1"
+
+
+def _kplus_valid(a: int, b: int) -> bool:
+    """True when (a, b) names a kplus knot, as ``_KPLUS_RULE`` states."""
+    return a >= 1 and b >= 1 and gcd(a, b) == 1
+
+
+def _kplus_pqk(a: int, b: int) -> tuple[int, int, int]:
+    """(p, q, k) of kplus(a, b) as plain ints, for parameters ``_kplus_valid`` accepts.
 
     With p = a^2 + ab + b^2 and w = b/(a+b) mod p, the surgery yields
     L(p, w^2) and the core parameter is -w mod p.
     """
-    if a < 1 or b < 1 or gcd(a, b) != 1:
-        raise ValueError(f"need coprime positive parameters, got ({a}, {b})")
     p = a * a + a * b + b * b
     w = b * pow(a + b, -1, p) % p
-    return DualKnotTriple(p, w * w % p, -w % p)
+    return p, w * w % p, -w % p
+
+
+def kplus_dual(a: int, b: int) -> DualKnotTriple:
+    """Dual-knot triple of the doubly primitive knot kplus(a, b)."""
+    if not _kplus_valid(a, b):
+        raise ValueError(f"kplus {_KPLUS_RULE}, got {(a, b)}")
+    return DualKnotTriple(*_kplus_pqk(a, b))
 
 
 def _floor_sum(n: int, m: int, a: int, b: int) -> int:
@@ -113,18 +123,3 @@ def kplus_is_hyperbolic(a: int, b: int) -> bool:
     """True iff kplus(a, b) is hyperbolic, decided by phi >= 2."""
     return basic_stats(kplus_dual(a, b)).phi >= 2
 
-
-def fibonacci_kplus_data(n: int) -> DualKnotTriple:
-    """Closed-form dual triple of kplus(F(n+2), F(n)), n >= 1.
-
-    p = 4 F(n) F(n+2) + (-1)^n, q ≡ (-1)^(n+1) 4 F(n)^2 and
-    k ≡ (-1)^n 4 F(n) (F(n) + F(n+2)), all reduced mod p.
-    """
-    if n < 1:
-        raise InvalidIndex("index must be >= 1")
-    fn, fn2 = fib(n), fib(n + 2)
-    sign = -1 if n % 2 else 1
-    p = 4 * fn * fn2 + sign
-    q = -sign * 4 * fn * fn % p
-    k = sign * 4 * fn * (fn + fn2) % p
-    return DualKnotTriple(p, q, k)

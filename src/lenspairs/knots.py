@@ -11,7 +11,7 @@ Five families are modelled, each by a small tuple of positive integers:
   filling with a lens summand.
 * ``kplus(a, b)``: the doubly primitive knot on the genus-one fiber of the
   trefoil, a, b >= 1 coprime; (a^2+ab+b^2)-surgery yields
-  L(a^2+ab+b^2, (a/b)^2), read from ``dualknot.kplus_dual``.
+  L(a^2+ab+b^2, (a/b)^2), read from ``dualknot._kplus_pqk``.
 * ``tangleHH(n)`` and ``tangleTH(n)``: hyperbolic knots built from two
   tangle families, n >= 1.  They are data-backed: only the designated
   integral slope (27n^2+45n+21 resp. 18n^2+33n+15) has a recorded filling,
@@ -31,7 +31,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from math import gcd, isqrt
 
-from .dualknot import kplus_dual, kplus_is_hyperbolic
+from .dualknot import _KPLUS_RULE, _kplus_pqk, _kplus_valid, kplus_is_hyperbolic
 from .lens import LensSpace, make_lens
 
 __all__ = [
@@ -155,11 +155,6 @@ def _integral(formula):
     return lambda den, *params: (formula(*params),) if den == 1 else ()
 
 
-def _kplus_slope(a, b):
-    dual = kplus_dual(a, b)
-    return dual.p, dual.q
-
-
 def _coprime_pairs(top, lo, hi, k):
     for a in range(2, top + 1):
         last = min(top, hi // (k * a))  # coprime 2 <= a < b <= last have k*a*b - 1 < hi
@@ -252,8 +247,8 @@ _TABLE = {
     ),
     "kplus": _Family(
         arity=2, text="kplus({},{})", rows=_kplus_rows, cap="kplus_max",
-        valid=lambda a, b: a >= 1 and b >= 1 and gcd(a, b) == 1, rule="parameters must be coprime and >= 1",
-        slopes=_integral(_kplus_slope),
+        valid=_kplus_valid, rule=_KPLUS_RULE,
+        slopes=_integral(lambda a, b: _kplus_pqk(a, b)[:2]),
         genus=lambda a, b: ((a + b - 1) ** 2 - a * b) // 2, symmetric=True,
         hyperbolic=kplus_is_hyperbolic,  # phi >= 2
     ),

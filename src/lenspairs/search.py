@@ -14,11 +14,14 @@ size of its largest subset of pairwise certified-distinct members.
 ``enumerate_surgeries`` yields the same candidates as (knot, slope, lens
 space) objects in a fixed deterministic order.
 
-``verify_family`` re-derives, instance by instance, the six constructions
-of knot pairs sharing a surgery slope and a lens space, and
-``verify_no_nonintegral_pairs`` confirms at desk scale that two distinct
-torus knots never share a lens space under a common slope of denominator
-three or more.
+``verify_family`` checks, instance by instance, the six constructions of
+knot pairs sharing a surgery slope and a lens space.  Each construction
+names only its two knots and the slope denominator; the shared slope is
+the one lens slope that the two knots' entries in the family table of
+``knots`` have in common, so no slope formula is stated twice.
+``verify_no_nonintegral_pairs`` confirms at desk scale, from the torus
+entry of the same table, that two distinct torus knots never share a lens
+space under a common slope of denominator three or more.
 """
 
 from __future__ import annotations
@@ -34,13 +37,12 @@ from math import gcd
 from .knots import (
     FAMILIES,
     KnotDescriptor,
-    Lens,
     SurgerySlope,
+    _TABLE,
     _rows,
     cable,
     distinct,
     kplus,
-    lens_surgery,
     tangle_hh,
     tangle_th,
     torus,
@@ -199,49 +201,33 @@ def find_coincidences(config: SearchConfig) -> list[CoincidenceRecord]:
     return records
 
 
-VERIFY_FAMILIES = (
-    "torus_torus",
-    "torus_torus_half",
-    "torus_cable",
-    "cable_kplus",
-    "tangle_kplus",
-    "torus_tangle",
-)
-
-_VERIFY_MIN_N = {"cable_kplus": 3}
+def _fibonacci_tori(n):
+    cur, nxt = pair("fibonacci", n), pair("fibonacci", n + 1)
+    return torus(nxt.a, cur.b), torus(cur.a, nxt.b)
 
 
-def _family_pair(family: str, n: int):
-    # the two knots and their shared slope for instance n of a verified family
-    if family == "torus_torus":
-        cur, nxt = pair("fibonacci", n), pair("fibonacci", n + 1)
-        return torus(nxt.a, cur.b), torus(cur.a, nxt.b), SurgerySlope(nxt.a * cur.b + (-1) ** (n + 1))
-    if family == "torus_torus_half":
-        cur, nxt = pair("pell", n), pair("pell", n + 1)
-        return torus(cur.a, nxt.b), torus(cur.b, nxt.a), SurgerySlope(2 * cur.a * nxt.b + (-1) ** (n + 1), 2)
-    if family == "torus_cable":
-        return (
-            torus(2 * n + 1, 4 * n + 4),
-            cable(n + 1, 2 * n + 1, 1),
-            SurgerySlope(8 * n * n + 12 * n + 5),
-        )
-    if family == "cable_kplus":
-        fn, fn2 = fib(n), fib(n + 2)
-        eps = -1 if n % 2 else 1
-        return cable(fn, fn2, eps), kplus(fn2, fn), SurgerySlope(4 * fn * fn2 + eps)
-    if family == "tangle_kplus":
-        return (
-            tangle_hh(n),
-            kplus(3 * n + 1, 3 * n + 4),
-            SurgerySlope(27 * n * n + 45 * n + 21),
-        )
-    if family == "torus_tangle":
-        return (
-            torus(3 * n + 2, 6 * n + 7),
-            tangle_th(n),
-            SurgerySlope(18 * n * n + 33 * n + 15),
-        )
-    raise InvalidIndex(f"unknown verification family {family!r}")
+def _pell_tori(n):
+    cur, nxt = pair("pell", n), pair("pell", n + 1)
+    return torus(cur.a, nxt.b), torus(cur.b, nxt.a)
+
+
+def _fibonacci_cable_kplus(n):
+    fn, fn2 = fib(n), fib(n + 2)
+    return cable(fn, fn2, (-1) ** n), kplus(fn2, fn)
+
+
+# Each verified construction: its first n, its slope denominator, and the two
+# knots of instance n.  The shared slope is read off ``knots._TABLE``.
+_VERIFY = {
+    "torus_torus": (1, 1, _fibonacci_tori),
+    "torus_torus_half": (1, 2, _pell_tori),
+    "torus_cable": (1, 1, lambda n: (torus(2 * n + 1, 4 * n + 4), cable(n + 1, 2 * n + 1, 1))),
+    "cable_kplus": (3, 1, _fibonacci_cable_kplus),
+    "tangle_kplus": (1, 1, lambda n: (tangle_hh(n), kplus(3 * n + 1, 3 * n + 4))),
+    "torus_tangle": (1, 1, lambda n: (torus(3 * n + 2, 6 * n + 7), tangle_th(n))),
+}
+
+VERIFY_FAMILIES = tuple(_VERIFY)
 
 
 @dataclass(frozen=True)
@@ -272,30 +258,30 @@ class FamilyReport:
 
 
 def verify_family(family: str, n_range) -> FamilyReport:
-    """Check every instance n: both surgeries are lens spaces, the lens
-    spaces are homeomorphic, and the two knots are certified distinct."""
-    if family not in VERIFY_FAMILIES:
+    """Check every instance n: the two knots share exactly one lens slope
+    m/den in the family table, their lens spaces there are homeomorphic,
+    and the two knots are certified distinct."""
+    if family not in _VERIFY:
         raise InvalidIndex(f"unknown verification family {family!r}")
+    low, den, knots_of = _VERIFY[family]
     ns = sorted(set(n_range))
-    low = _VERIFY_MIN_N.get(family, 1)
     if not ns:
         raise InvalidIndex("empty index range")
     if ns[0] < low:
         raise InvalidIndex(f"{family} needs n >= {low}, got {ns[0]}")
     checks = []
     for n in ns:
-        first, second, slope = _family_pair(family, n)
-        res1, res2 = lens_surgery(first, slope), lens_surgery(second, slope)
-        both_lens = isinstance(res1, Lens) and isinstance(res2, Lens)
-        ok = (
-            both_lens
-            and homeomorphic(res1.space, res2.space)
-            and distinct(first, second) == "distinct"
-        )
-        if both_lens:
-            witness = f"{first} & {second} @ {slope} -> {res1.space} ~ {res2.space}"
-        else:
-            witness = f"{first} & {second} @ {slope} -> {res1} / {res2}"
+        first, second = knots_of(n)
+        one, two = (dict(_TABLE[knot.family].slopes(den, *knot.params)) for knot in (first, second))
+        shared = one.keys() & two.keys()
+        if len(shared) != 1:
+            witness = f"{first} & {second} share {len(shared)} lens slopes m/{den}, not one"
+            checks.append(FamilyCheck(family, n, False, witness))
+            continue
+        (m,) = shared
+        space1, space2 = make_lens(m, one[m]), make_lens(m, two[m])
+        ok = homeomorphic(space1, space2) and distinct(first, second) == "distinct"
+        witness = f"{first} & {second} @ {SurgerySlope(m, den)} -> {space1} ~ {space2}"
         checks.append(FamilyCheck(family, n, ok, witness))
     return FamilyReport(family, tuple(checks))
 
@@ -318,8 +304,9 @@ def verify_no_nonintegral_pairs(p_max: int, n_min: int, n_max: int) -> Nonintegr
 
     For every pair of coprime parameter pairs (p, q), (r, s) with equal
     products and 2 <= q < p <= p_max, 2 <= s < r < p, and every denominator
-    n in [n_min, n_max], the two candidate lens spaces L(n p q +- 1, n q^2)
-    and L(., n s^2) are compared; any homeomorphic pair is a violation.
+    n in [n_min, n_max], the lens spaces of the two torus knots at each of
+    their common lens slopes m/n, read from the torus entry of the family
+    table, are compared; any homeomorphic pair is a violation.
     """
     if n_min < 3:
         raise InvalidIndex("meaningful only for slope denominators >= 3")
@@ -328,6 +315,7 @@ def verify_no_nonintegral_pairs(p_max: int, n_min: int, n_max: int) -> Nonintegr
         for q in range(2, p):
             if gcd(p, q) == 1:
                 by_product.setdefault(p * q, []).append((p, q))
+    torus_slopes = _TABLE["torus"].slopes
     pairs = []
     checked = 0
     violations = []
@@ -337,9 +325,9 @@ def verify_no_nonintegral_pairs(p_max: int, n_min: int, n_max: int) -> Nonintegr
             # sorted puts the smaller first coordinate first, so r < p
             pairs.append(((p, q), (r, s)))
             for n in range(n_min, n_max + 1):
-                for eps in (-1, 1):
-                    m = n * product + eps
+                # equal products give the same two slopes, in the same order
+                for (m, q_lens), (_, s_lens) in zip(torus_slopes(n, p, q), torus_slopes(n, r, s)):
                     checked += 1
-                    if homeomorphic(make_lens(m, n * q * q), make_lens(m, n * s * s)):
+                    if homeomorphic(make_lens(m, q_lens), make_lens(m, s_lens)):
                         violations.append((p, q, r, s, n, m))
     return NonintegralReport(tuple(pairs), checked, tuple(violations))

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 __all__ = [
-    "FAMILIES",
     "IDENTITIES",
     "InvalidIndex",
     "SequencePair",
@@ -27,8 +26,6 @@ __all__ = [
     "fib",
     "pair",
 ]
-
-FAMILIES = ("fibonacci", "pell")
 
 IDENTITIES = ("cassini", "fib_cross", "pell_cross", "pell_product", "fib_quartic")
 

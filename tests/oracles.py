@@ -1,12 +1,16 @@
 """Independent reference implementations that the library is tested against.
 
-The walks materialise every term, so they are only fit for small inputs.
-The family rules restate, one if-chain per question, what the family table
-of ``lenspairs.knots`` answers, and ``family_pair`` states the knots and the
-shared slope of each verified construction by the paper's formulas."""
+The walks and the box scan materialise every term, so they are only fit
+for small inputs.  The family rules restate, one if-chain per question,
+what the family table of ``lenspairs.knots`` answers, and ``family_pair``
+states the knots and the shared slope of each verified construction by the
+paper's formulas."""
 
 from __future__ import annotations
 
+from math import isqrt
+
+from lenspairs.bqf import FormSolution, QuadForm
 from lenspairs.dualknot import BasicSequenceStats, DualKnotTriple, kplus_is_hyperbolic
 from lenspairs.knots import (
     FAMILIES,
@@ -38,6 +42,50 @@ def basic_stats_bruteforce(triple: DualKnotTriple) -> BasicSequenceStats:
     s_prime = sum(1 for v in after if v < k)
     ell_prime = sum(1 for v in after if v > k)
     return BasicSequenceStats(h, s, ell, s_prime, ell_prime, min(s, ell, s_prime, ell_prime))
+
+
+def fibonacci_kplus_data(n: int) -> DualKnotTriple:
+    """Closed-form dual triple of kplus(F(n+2), F(n)), n >= 1.
+
+    p = 4 F(n) F(n+2) + (-1)^n, q ≡ (-1)^(n+1) 4 F(n)^2 and
+    k ≡ (-1)^n 4 F(n) (F(n) + F(n+2)), all reduced mod p.
+    """
+    if n < 1:
+        raise InvalidIndex("index must be >= 1")
+    fn, fn2 = fib(n), fib(n + 2)
+    sign = -1 if n % 2 else 1
+    p = 4 * fn * fn2 + sign
+    q = -sign * 4 * fn * fn % p
+    k = sign * 4 * fn * (fn + fn2) % p
+    return DualKnotTriple(p, q, k)
+
+
+def solutions_in_box(form: QuadForm, m: int, bound: int) -> list[FormSolution]:
+    """All solutions with |x|, |y| <= bound, found without the unit machinery.
+
+    Exhausts y and extracts the integer roots in x directly; serves as the
+    independent ground truth for the orbit pipeline.
+    """
+    if bound < 1:
+        raise ValueError("bound must be >= 1")
+    a, b, c = form.A, form.B, form.C
+    found = []
+    for y in range(-bound, bound + 1):
+        # roots of a x^2 + (b y) x + (c y^2 - m) = 0 via its own discriminant
+        disc = (b * y) ** 2 - 4 * a * (c * y * y - m)
+        if disc < 0:
+            continue
+        root = isqrt(disc)
+        if root * root != disc:
+            continue
+        for sign in (root, -root) if root else (0,):
+            num = -b * y + sign
+            if num % (2 * a) == 0:
+                x = num // (2 * a)
+                if abs(x) <= bound:
+                    found.append(FormSolution(x, y))
+    found.sort(key=lambda sol: (sol.y, sol.x))
+    return found
 
 
 def fib_loop(n: int) -> int:

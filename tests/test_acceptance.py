@@ -7,7 +7,7 @@ import random
 import time
 from math import gcd
 
-from lenspairs.bqf import QuadForm, divisibility_scan, fundamental_unit, generate_solutions, solutions_in_box
+from lenspairs.bqf import QuadForm, divisibility_scan, fundamental_unit, generate_solutions
 from lenspairs.dualknot import (
     DualKnotTriple,
     basic_stats,
@@ -18,7 +18,7 @@ from lenspairs.knots import Lens, SurgerySlope, lens_surgery, torus
 from lenspairs.lens import homeomorphic, make_lens, oriented_homeomorphic
 from lenspairs.search import SearchConfig, find_coincidences, verify_family, verify_no_nonintegral_pairs
 from lenspairs.sequences import check_identity, fib
-from oracles import basic_stats_bruteforce
+from oracles import basic_stats_bruteforce, solutions_in_box
 
 
 def report(name, elapsed=None):

@@ -19,9 +19,9 @@ from lenspairs.bqf import (
     fundamental_unit,
     generate_solutions,
     orbit_representatives,
-    solutions_in_box,
     window_bound,
 )
+from oracles import solutions_in_box
 
 F = QuadForm(1, -6, 1)  # discriminant 32
 G = QuadForm(1, -6, -1)  # discriminant 40

@@ -142,6 +142,28 @@ def test_search_writes_jsonl_file(tmp_path, capsys):
     assert len(obj["members"]) == 2
 
 
+def test_search_out_to_missing_directory_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    # the path is rejected before any search work is done
+    def no_search(config):
+        raise AssertionError("searched before opening --out")
+
+    monkeypatch.setattr("lenspairs.search.find_coincidences", no_search)
+    out_file = tmp_path / "missing" / "records.jsonl"
+    assert run(["search", "--order-max", "50", "--out", str(out_file)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out_file) in err
+    assert "Traceback" not in err
+    assert not out_file.exists()
+
+
+def test_dual_and_surgery_reject_a_bad_kplus_alike(capsys):
+    assert run(["dual", "2", "4"]) == 2
+    dual_err = capsys.readouterr().err.splitlines()
+    assert run(["surgery", "kplus", "2", "4", "--slope", "28"]) == 2
+    surgery_err = capsys.readouterr().err.splitlines()
+    assert dual_err[0] == surgery_err[0] == "error: kplus parameters must be coprime and >= 1, got (2, 4)"
+
+
 def test_slope_roundtrip_format(capsys):
     assert run(["--jsonl", "surgery", "torus", "3", "4", "--slope", "13"]) == 0
     obj = json.loads(capsys.readouterr().out.strip())

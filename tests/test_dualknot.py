@@ -9,12 +9,12 @@ from lenspairs.dualknot import (
     DualKnotTriple,
     _floor_sum,
     basic_stats,
-    fibonacci_kplus_data,
     kplus_dual,
     kplus_is_hyperbolic,
 )
+from lenspairs.knots import InvalidKnot, KnotDescriptor
 from lenspairs.sequences import fib
-from oracles import basic_stats_bruteforce
+from oracles import basic_stats_bruteforce, fibonacci_kplus_data
 
 
 def random_triple(rng, p_max):
@@ -42,6 +42,16 @@ def test_kplus_dual_values():
     assert kplus_dual(4, 7) == DualKnotTriple(93, 25, 67)
     with pytest.raises(ValueError):
         kplus_dual(2, 4)
+
+
+@pytest.mark.parametrize("params", [(2, 4), (0, 1), (3, -1)])
+def test_kplus_rule_is_the_table_rule(params):
+    # kplus_dual and the family table reject a bad pair with one message
+    with pytest.raises(ValueError) as from_dual:
+        kplus_dual(*params)
+    with pytest.raises(InvalidKnot) as from_table:
+        KnotDescriptor("kplus", params)
+    assert str(from_dual.value) == str(from_table.value) == f"kplus parameters must be coprime and >= 1, got {params}"
 
 
 def test_basic_stats_small_cases():

@@ -14,6 +14,7 @@ from lenspairs.search import (
     verify_family,
     verify_no_nonintegral_pairs,
 )
+from lenspairs.cli import run
 from lenspairs.sequences import InvalidIndex
 
 
@@ -174,6 +175,18 @@ def test_verify_family_witnesses():
     assert verify_family("torus_cable", range(1, 31)).passed
     assert verify_family("tangle_kplus", range(1, 13)).passed
     assert verify_family("torus_tangle", range(1, 13)).passed
+
+
+@pytest.mark.parametrize("knots,shared", [((torus(2, 3), torus(2, 5)), 0), ((torus(2, 3), torus(2, 3)), 2)])
+def test_verify_fails_unless_exactly_one_shared_slope(monkeypatch, capsys, knots, shared):
+    monkeypatch.setitem(search._VERIFY, "torus_torus", (1, 1, lambda n: knots))
+    report = verify_family("torus_torus", range(1, 3))
+    assert not report.passed
+    assert [check.passed for check in report.checks] == [False, False]
+    witness = f"{knots[0]} & {knots[1]} share {shared} lens slopes m/1, not one"
+    assert [check.witness for check in report.checks] == [witness, witness]
+    assert run(["verify", "torus_torus", "--range", "1..2"]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "torus_torus: 0/2 instances verified"
 
 
 def test_verify_family_lines_format():
