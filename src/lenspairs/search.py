@@ -272,7 +272,8 @@ def verify_family(family: str, n_range) -> FamilyReport:
     checks = []
     for n in ns:
         first, second = knots_of(n)
-        one, two = (dict(_TABLE[knot.family].slopes(den, *knot.params)) for knot in (first, second))
+        one = dict(_TABLE[first.family].slopes(den, *first.params))
+        two = dict(_TABLE[second.family].slopes(den, *second.params))
         shared = one.keys() & two.keys()
         if len(shared) != 1:
             witness = f"{first} & {second} share {len(shared)} lens slopes m/{den}, not one"
