@@ -6,8 +6,8 @@ from math import gcd
 
 import oracles
 from lenspairs.knots import (
-    _TABLE,
     SurgerySlope,
+    _TABLE,
     cable,
     distinct,
     genus,

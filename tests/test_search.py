@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from lenspairs.cli import run
 from lenspairs.knots import FAMILIES, Lens, SurgerySlope, cable, kplus, lens_surgery, tangle_hh, tangle_th, torus
 from lenspairs.lens import canonical_form, make_lens
 from lenspairs import search
@@ -14,7 +15,6 @@ from lenspairs.search import (
     verify_family,
     verify_no_nonintegral_pairs,
 )
-from lenspairs.cli import run
 from lenspairs.sequences import InvalidIndex
 
 
