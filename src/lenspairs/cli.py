@@ -3,14 +3,17 @@
 Results go to stdout (one JSON object per line under ``--jsonl``),
 diagnostics to stderr.  Exit codes: 0 for a successful query or a fully
 verified check, 1 when a verification fails or a counterexample is found,
-2 for usage errors.
+2 for usage errors, and 141 (128 + SIGPIPE) from ``main`` when the reader
+of stdout closes it early.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
+import os
 import sys
 
 from . import bqf, search
@@ -289,9 +292,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # one parser per process: parse_args keeps no state and returns a new namespace each call
+    return build_parser()
+
+
 def run(argv=None) -> int:
     """Dispatch one invocation; returns the process exit code."""
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -311,4 +320,12 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    raise SystemExit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (say, `| head`): not a failed verification;
+        # stdout goes to devnull so that the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141  # 128 + SIGPIPE, as for a process that the signal ended
+    raise SystemExit(code)

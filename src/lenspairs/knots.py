@@ -155,6 +155,17 @@ def _integral(formula):
     return lambda den, *params: (formula(*params),) if den == 1 else ()
 
 
+def _torus_slopes(den, p, q):
+    # L(m, den*q^2) at m = den*p*q -+ 1; (den*q^2)(den*p^2) = (den*p*q)^2 = 1 mod m
+    pq, q2, p2 = den * p * q, den * q * q, den * p * p
+    return (pq - 1, q2, p2), (pq + 1, q2, p2)
+
+
+def _inverted(m, q):
+    # a lens slope whose parameter has no closed-form inverse here
+    return m, q, pow(q, -1, m)
+
+
 def _coprime_pairs(top, lo, hi, k):
     for a in range(2, top + 1):
         last = min(top, hi // (k * a))  # coprime 2 <= a < b <= last have k*a*b - 1 < hi
@@ -168,17 +179,17 @@ def _coprime_pairs(top, lo, hi, k):
 def _torus_rows(family, slopes, top, lo, hi, dens):
     for n in dens:
         for p, q in _coprime_pairs(top, lo, hi, n):
-            for m, raw_q in slopes(n, p, q):
+            for m, raw_q, raw_inv in slopes(n, p, q):
                 if lo <= m < hi:
-                    yield m, n, family, (p, q), raw_q
+                    yield m, n, family, (p, q), raw_q, raw_inv
 
 
 def _cable_rows(family, slopes, top, lo, hi, dens):
     for a, b in _coprime_pairs(top, lo, hi, 4):
         for eps in (-1, 1):
-            ((m, raw_q),) = slopes(1, a, b, eps)
+            ((m, raw_q, raw_inv),) = slopes(1, a, b, eps)
             if lo <= m < hi:
-                yield m, 1, family, (a, b, eps), raw_q
+                yield m, 1, family, (a, b, eps), raw_q, raw_inv
 
 
 def _kplus_rows(family, slopes, top, lo, hi, dens):
@@ -189,21 +200,21 @@ def _kplus_rows(family, slopes, top, lo, hi, dens):
         start = max(a, (isqrt(max(0, 4 * lo - 3 * a * a)) - a) // 2)
         for b in range(start, top + 1):
             if gcd(a, b) == 1:
-                ((m, raw_q),) = slopes(1, a, b)
+                ((m, raw_q, raw_inv),) = slopes(1, a, b)
                 if m >= hi:
                     break
                 if m >= lo:
-                    yield m, 1, family, (a, b), raw_q
+                    yield m, 1, family, (a, b), raw_q, raw_inv
 
 
 def _index_rows(family, slopes, top, lo, hi, dens):
     # one parameter n >= 1, and the lens order grows with n
     for n in range(1, top + 1):
-        ((m, raw_q),) = slopes(1, n)
+        ((m, raw_q, raw_inv),) = slopes(1, n)
         if m >= hi:
             break
         if m >= lo:
-            yield m, 1, family, (n,), raw_q
+            yield m, 1, family, (n,), raw_q, raw_inv
 
 
 @dataclass(frozen=True)
@@ -214,7 +225,9 @@ class _Family:
     text: str  # format template of str(knot)
     valid: Callable  # (*params) -> True when they name a knot of the family
     rule: str  # what ``valid`` asks of the parameters
-    slopes: Callable  # (den, *params) -> lens slopes ((m, q), ...): m/den-surgery gives L(m, q)
+    # (den, *params) -> lens slopes ((m, q, q_inv), ...): m/den-surgery gives L(m, q),
+    # and q*q_inv = 1 mod m; neither is reduced
+    slopes: Callable
     rows: Callable  # (family, slopes, top, lo, hi, dens) -> the search rows of ``_rows``
     cap: str  # the SearchConfig field that bounds the parameters in ``rows``
     other: Callable = lambda m, n, *params: NotLens("unknown-for-family")  # outcome at other slopes m/n
@@ -231,7 +244,7 @@ _TABLE = {
     "torus": _Family(
         arity=2, text="torus({},{})", rows=_torus_rows, cap="torus_max",
         valid=lambda p, q: p >= 2 and q >= 2 and gcd(p, q) == 1, rule="parameters must be coprime and >= 2",
-        slopes=lambda den, p, q: ((den * p * q - 1, den * q * q), (den * p * q + 1, den * q * q)),
+        slopes=_torus_slopes,
         other=lambda m, n, p, q: ReducibleTwoLens(p, q) if (m, n) == (p * q, 1) else _NO_LENS,
         genus=lambda p, q: (p - 1) * (q - 1) // 2, symmetric=True,
         is_torus=True, not_hyperbolic=True,
@@ -240,7 +253,8 @@ _TABLE = {
         arity=3, text="cable({},{},{:+d})", rows=_cable_rows, cap="cable_max",
         valid=lambda a, b, eps: a >= 2 and b >= 2 and gcd(a, b) == 1 and eps in (1, -1),
         rule="companion parameters must be coprime and >= 2 and the sign +1 or -1",
-        slopes=_integral(lambda a, b, eps: (4 * a * b + eps, 4 * b * b)),
+        # (4b^2)(4a^2) = (4ab)^2 = 1 mod m, since 4ab = m - eps
+        slopes=_integral(lambda a, b, eps: (4 * a * b + eps, 4 * b * b, 4 * a * a)),
         other=lambda m, n, a, b, eps: _CABLING if (m, n) == (4 * a * b + 2 * eps, 1) else _NO_LENS,
         symmetric=True,
         not_torus=True, not_hyperbolic=True,  # a satellite knot
@@ -248,21 +262,22 @@ _TABLE = {
     "kplus": _Family(
         arity=2, text="kplus({},{})", rows=_kplus_rows, cap="kplus_max",
         valid=_kplus_valid, rule=_KPLUS_RULE,
-        slopes=_integral(lambda a, b: _kplus_pqk(a, b)[:2]),
+        # (p, w^2, -w): w^3 = -1 mod p, so the core parameter k = -w inverts w^2
+        slopes=_integral(_kplus_pqk),
         genus=lambda a, b: ((a + b - 1) ** 2 - a * b) // 2, symmetric=True,
         hyperbolic=kplus_is_hyperbolic,  # phi >= 2
     ),
     "tangleHH": _Family(
         arity=1, text="tangleHH({})", rows=_index_rows, cap="tangle_max",
         valid=lambda n: n >= 1, rule="index must be >= 1",
-        slopes=_integral(lambda n: (27 * n * n + 45 * n + 21, -(9 * n * n + 12 * n + 5))),
+        slopes=_integral(lambda n: _inverted(27 * n * n + 45 * n + 21, -(9 * n * n + 12 * n + 5))),
         genus=lambda n: (27 * n * n + 33 * n + 10) // 2,
         not_torus=True,  # hyperbolic by construction, which no certificate here checks
     ),
     "tangleTH": _Family(
         arity=1, text="tangleTH({})", rows=_index_rows, cap="tangle_max",
         valid=lambda n: n >= 1, rule="index must be >= 1",
-        slopes=_integral(lambda n: (18 * n * n + 33 * n + 15, -(18 * n + 19))),
+        slopes=_integral(lambda n: _inverted(18 * n * n + 33 * n + 15, -(18 * n + 19))),
         not_torus=True,  # hyperbolic by construction, which no certificate here checks
     ),
 }
@@ -271,8 +286,9 @@ FAMILIES = tuple(_TABLE)
 
 
 def _rows(family: str, config, lo: int, hi: int):
-    """Yield (m, n, family, params, q) for each knot of the family up to its ``config``
-    cap and each lens slope m/n with lo <= m < hi, giving L(m, q), q not yet reduced."""
+    """Yield (m, n, family, params, q, q_inv) for each knot of the family up to its
+    ``config`` cap and each lens slope m/n with lo <= m < hi, giving L(m, q), with
+    q*q_inv = 1 mod m; neither q nor q_inv is reduced yet."""
     entry = _TABLE[family]
     return entry.rows(family, entry.slopes, getattr(config, entry.cap), lo, hi, config.slope_denominators)
 
@@ -281,7 +297,7 @@ def lens_surgery(knot: KnotDescriptor, slope: SurgerySlope) -> SurgeryResult:
     """Evaluate m/n-surgery on the knot into the lens trichotomy."""
     if slope.m <= 0:
         raise ValueError("only positive slopes are modelled")
-    for m, q in _TABLE[knot.family].slopes(slope.n, *knot.params):
+    for m, q, _ in _TABLE[knot.family].slopes(slope.n, *knot.params):
         if m == slope.m:
             return Lens(make_lens(m, q))
     return _TABLE[knot.family].other(slope.m, slope.n, *knot.params)

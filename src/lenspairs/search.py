@@ -28,9 +28,7 @@ from __future__ import annotations
 
 import itertools
 import json
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from math import gcd
 
@@ -47,7 +45,7 @@ from .knots import (
     tangle_th,
     torus,
 )
-from .lens import LensSpace, _parameter_orbit, homeomorphic, make_lens
+from .lens import LensSpace, homeomorphic, make_lens
 from .sequences import InvalidIndex, fib, pair
 
 __all__ = [
@@ -89,7 +87,7 @@ class SearchConfig:
 
 
 def _shard_rows(config: SearchConfig, lo: int, hi: int):
-    """Yield (m, n, family, params, q) for every candidate with lo <= m < hi,
+    """Yield (m, n, family, params, q, q_inv) for every candidate with lo <= m < hi,
     from the family enumerators of ``knots``; rows come in no particular order."""
     hi = min(hi, config.order_max + 1)
     return itertools.chain.from_iterable(_rows(f, config, lo, hi) for f in FAMILIES if f in config.families)
@@ -98,7 +96,7 @@ def _shard_rows(config: SearchConfig, lo: int, hi: int):
 def enumerate_surgeries(config: SearchConfig):
     """Yield (knot, slope, lens space) in deterministic (family, params, slope) order."""
     rows = _shard_rows(config, 1, config.order_max + 1)
-    for m, n, family, params, q in sorted(rows, key=lambda r: (r[2], r[3], r[1], r[0])):
+    for m, n, family, params, q, _ in sorted(rows, key=lambda r: (r[2], r[3], r[1], r[0])):
         yield KnotDescriptor(family, params), SurgerySlope(m, n), make_lens(m, q)
 
 
@@ -164,8 +162,11 @@ def _shard_records(task) -> list[CoincidenceRecord]:
     """The finished records of one shard (config, lo, hi) of lens orders."""
     config, lo, hi = task
     buckets: dict = {}
-    for m, n, family, params, q in _shard_rows(config, lo, hi):
-        buckets.setdefault((m, n, min(_parameter_orbit(m, q % m))), []).append((family, params, q))
+    for m, n, family, params, q, q_inv in _shard_rows(config, lo, hi):
+        # the unoriented class of L(m, q) is {±q, ±q^-1} mod m; the row brings its own inverse
+        q %= m
+        q_inv %= m
+        buckets.setdefault((m, n, min(q, m - q, q_inv, m - q_inv)), []).append((family, params, q))
     records = []
     for (m, n, q_min), rows in buckets.items():
         if len(rows) >= 2:
@@ -195,6 +196,10 @@ def find_coincidences(config: SearchConfig) -> list[CoincidenceRecord]:
     if workers == 1:
         records = [record for task in tasks for record in _shard_records(task)]
     else:
+        # imported here, so that a sequential search or any other query never loads them
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
             records = [record for part in pool.map(_shard_records, tasks) for record in part]
     records.sort(key=lambda r: (r.lens_class[0], r.slope.m, r.slope.n, r.lens_class[1]))
@@ -272,8 +277,8 @@ def verify_family(family: str, n_range) -> FamilyReport:
     checks = []
     for n in ns:
         first, second = knots_of(n)
-        one = dict(_TABLE[first.family].slopes(den, *first.params))
-        two = dict(_TABLE[second.family].slopes(den, *second.params))
+        one = {m: q for m, q, _ in _TABLE[first.family].slopes(den, *first.params)}
+        two = {m: q for m, q, _ in _TABLE[second.family].slopes(den, *second.params)}
         shared = one.keys() & two.keys()
         if len(shared) != 1:
             witness = f"{first} & {second} share {len(shared)} lens slopes m/{den}, not one"
@@ -327,7 +332,7 @@ def verify_no_nonintegral_pairs(p_max: int, n_min: int, n_max: int) -> Nonintegr
             pairs.append(((p, q), (r, s)))
             for n in range(n_min, n_max + 1):
                 # equal products give the same two slopes, in the same order
-                for (m, q_lens), (_, s_lens) in zip(torus_slopes(n, p, q), torus_slopes(n, r, s)):
+                for (m, q_lens, _), (_, s_lens, _) in zip(torus_slopes(n, p, q), torus_slopes(n, r, s)):
                     checked += 1
                     if homeomorphic(make_lens(m, q_lens), make_lens(m, s_lens)):
                         violations.append((p, q, r, s, n, m))

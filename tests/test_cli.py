@@ -1,9 +1,13 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from lenspairs import knots
+from lenspairs import cli, knots
 from lenspairs.cli import build_parser, run
 from lenspairs.sequences import fib
 
@@ -168,3 +172,61 @@ def test_slope_roundtrip_format(capsys):
     assert run(["--jsonl", "surgery", "torus", "3", "4", "--slope", "13"]) == 0
     obj = json.loads(capsys.readouterr().out.strip())
     assert obj["slope"] == "13/1"
+
+
+def _fresh_env():
+    # the source tree this test imported, and a fixed width for argparse's usage text
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]), COLUMNS="80")
+
+
+def _fresh(argv):
+    proc = subprocess.run([sys.executable, "-m", "lenspairs", *argv], capture_output=True, text=True,
+                          env=_fresh_env(), timeout=60)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.mark.parametrize("sequence", [
+    [["--jsonl", "bqf", "unit", "5"], ["bqf", "unit", "5"]],
+    [["bqf", "solve", "1", "0", "-2", "1", "--count", "1"], ["bqf", "solve", "1", "0", "-2", "1"]],
+    [["verify", "torus_torus", "--range"], ["surgery", "torus", "3", "6", "--slope", "13/1"],
+     ["verify", "torus_torus", "--range", "1..3"]],
+])
+def test_reused_parser_matches_a_fresh_interpreter(sequence, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    for argv in sequence:
+        code = run(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == _fresh(argv), argv
+
+
+def test_run_builds_the_parser_once(monkeypatch, capsys):
+    run(["bqf", "unit", "5"])  # the parser is built by now
+    calls = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: calls.append(1) or real())
+    for _ in range(50):
+        assert run(["bqf", "unit", "5"]) == 0
+    capsys.readouterr()
+    assert calls == []
+
+
+def test_import_loads_no_process_pool():
+    code = ("import sys, lenspairs.cli; "
+            "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_fresh_env(),
+                          timeout=60, check=True)
+    assert proc.stdout == "[]\n"
+
+
+def test_closed_stdout_exits_141_without_a_traceback():
+    # about 360 kB of output, far more than a pipe buffers, so the writer meets the closed pipe
+    argv = [sys.executable, "-m", "lenspairs", "verify", "torus_cable", "--range", "1..3000"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_fresh_env())
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert first.startswith(b"PASS torus_cable n=1 ")
+    assert err == b""

@@ -1,8 +1,11 @@
 """The family table of lenspairs.knots against the per-family if-chains it
 replaced (``tests/oracles.py``), on every small knot of all five families,
-and the verified constructions against the paper's slope formulas."""
+the closed-form inverses of its lens parameters against ``pow``, and the
+verified constructions against the paper's slope formulas."""
 
 from math import gcd
+
+import pytest
 
 import oracles
 from lenspairs.knots import (
@@ -58,6 +61,39 @@ def test_distinct_matches_rules_on_every_ordered_pair():
             assert distinct(first, second) == oracles.distinct(first, second), (first, second)
 
 
+def _assert_inverses(knot, den):
+    for m, q, q_inv in _TABLE[knot.family].slopes(den, *knot.params):
+        assert q * q_inv % m == 1 and q_inv % m == pow(q, -1, m), (knot, den, m)
+
+
+def test_slopes_carry_the_inverse_of_their_parameter():
+    for knot in KNOTS:
+        for den in DENOMINATORS:
+            _assert_inverses(knot, den)
+
+
+def test_closed_form_inverses_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    def coprime(lo, hi):
+        return st.tuples(st.integers(lo, hi), st.integers(lo, hi)).filter(lambda pair: gcd(*pair) == 1)
+
+    # (knot, slope denominator); only torus knots have lens slopes off denominator 1
+    cases = st.one_of(
+        st.builds(lambda pq, den: (torus(*pq), den), coprime(2, 10**4), st.integers(1, 16)),
+        st.builds(lambda ab, eps: (cable(*ab, eps), 1), coprime(2, 10**4), st.sampled_from((-1, 1))),
+        coprime(1, 10**3).map(lambda ab: (kplus(*ab), 1)),
+    )
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(cases)
+    def check(case):
+        _assert_inverses(*case)
+
+    check()
+
+
 def _first_n(family):
     return 3 if family == "cable_kplus" else 1
 
@@ -76,5 +112,5 @@ def test_verify_pairs_share_exactly_one_lens_slope():
     for family in VERIFY_FAMILIES:
         for n in range(_first_n(family), 200):
             first, second, slope = oracles.family_pair(family, n)
-            ms = [{m for m, _ in _TABLE[knot.family].slopes(slope.n, *knot.params)} for knot in (first, second)]
+            ms = [{m for m, *_ in _TABLE[knot.family].slopes(slope.n, *knot.params)} for knot in (first, second)]
             assert ms[0] & ms[1] == {slope.m}, (family, n)

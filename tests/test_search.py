@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import os
 import time
@@ -131,12 +132,12 @@ def test_enumeration_is_bounded_by_order():
 def test_pool_is_capped_at_cpu_count(monkeypatch):
     sizes = []
 
-    class Recording(search.ProcessPoolExecutor):
+    class Recording(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, max_workers, **kwargs):
             sizes.append(max_workers)
             super().__init__(max_workers, **kwargs)
 
-    monkeypatch.setattr(search, "ProcessPoolExecutor", Recording)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
     sequential = find_coincidences(SearchConfig(order_max=500, workers=1))
     pooled = find_coincidences(SearchConfig(order_max=500, workers=8))
     assert [r.to_json() for r in pooled] == [r.to_json() for r in sequential]
