@@ -177,7 +177,8 @@ def test_slope_roundtrip_format(capsys):
 def _fresh_env():
     # the source tree this test imported, and a fixed width for argparse's usage text
     src = str(Path(cli.__file__).resolve().parents[1])
-    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]), COLUMNS="80")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, COLUMNS="80")
 
 
 def _fresh(argv):
