@@ -277,7 +277,14 @@ def _factor(n: int) -> list[tuple[int, int]]:
 
 def _prime_power_roots(delta: int, p: int, e: int) -> list[int]:
     # every z in [0, p^e) with z^2 = delta mod p^e
-    if p % 2 and delta % p:
+    if p == 2:
+        # a root mod 2^(k+1) is a root mod 2^k plus 0 or 2^k
+        roots, q = [0], 1
+        for _ in range(e):
+            roots = [r + t * q for r in roots for t in (0, 1) if ((r + t * q) ** 2 - delta) % (2 * q) == 0]
+            q *= 2
+        return roots
+    if delta % p:
         # the two roots mod p lift uniquely by Newton's step
         r = _sqrt_mod_prime(delta % p, p)
         if r is None:
@@ -287,12 +294,22 @@ def _prime_power_roots(delta: int, p: int, e: int) -> list[int]:
             q *= p
             r = (r - (r * r - delta) * pow(2 * r, -1, q)) % q
         return [r, q - r]
-    # p = 2 or p | delta: a root mod p^(k+1) is a root mod p^k plus t p^k
-    roots, q = [0], 1
-    for _ in range(e):
-        roots = [r + t * q for r in roots for t in range(p) if ((r + t * q) ** 2 - delta) % (q * p) == 0]
-        q *= p
-    return roots
+    # delta = p^v delta' with p not dividing delta'.  If v >= e the roots are
+    # the multiples of p^ceil(e/2).  Otherwise z^2 has valuation v, so v is
+    # even and z = p^(v/2) w with w^2 = delta' mod p^(e-v); z is then fixed
+    # mod p^(e - v/2) and every lift by that modulus is a root
+    q = p ** e
+    rest = delta % q
+    if rest == 0:
+        return list(range(0, q, p ** ((e + 1) // 2)))
+    v = 0
+    while rest % p == 0:
+        rest //= p
+        v += 1
+    if v % 2:
+        return []
+    half, step = p ** (v // 2), p ** (e - v // 2)
+    return [half * w + k * step for w in _prime_power_roots(rest, p, e - v) for k in range(half)]
 
 
 def _sqrt_mod_prime(a: int, p: int) -> int | None:

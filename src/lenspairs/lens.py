@@ -4,8 +4,10 @@ L(p, q) is the result of p/q-surgery on the unknot; reversing the
 orientation replaces q by p - q.  Two spaces of the same order p are
 orientation-preservingly homeomorphic when the parameters agree or are
 inverse mod p, and homeomorphic (orientation ignored) when they agree up
-to both sign and inversion.  All comparisons elsewhere in the package go
-through these predicates, never through raw field equality.
+to both sign and inversion.  The predicates decide this with one product
+mod p and no modular inverse; ``canonical_form`` names the class as a
+dictionary key.  The coincidence search keys its buckets on the same class,
+computed from closed-form inverses in ``search._shard_records``.
 """
 
 from __future__ import annotations
@@ -64,14 +66,6 @@ def reverse_orientation(space: LensSpace) -> LensSpace:
     return make_lens(space.p, space.p - space.q)
 
 
-def _parameter_orbit(p: int, q: int) -> tuple[int, ...]:
-    # all q' with L(p, q') homeomorphic to L(p, q): {±q, ±q^-1} mod p
-    if p == 1:
-        return (0,)
-    inv = pow(q, -1, p)
-    return (q, p - q, inv, p - inv)
-
-
 def oriented_homeomorphic(first: LensSpace, second: LensSpace) -> bool:
     """True iff the spaces are homeomorphic preserving orientation.
 
@@ -90,7 +84,8 @@ def homeomorphic(first: LensSpace, second: LensSpace) -> bool:
     """
     if first.p != second.p:
         return False
-    return second.q in _parameter_orbit(first.p, first.q)
+    p, q1, q2 = first.p, first.q, second.q
+    return q1 == q2 or q1 + q2 == p or q1 * q2 % p in (1, p - 1)
 
 
 def canonical_form(space: LensSpace) -> tuple[int, int]:
@@ -99,4 +94,8 @@ def canonical_form(space: LensSpace) -> tuple[int, int]:
     Two lens spaces are homeomorphic exactly when their canonical forms
     are equal, so the pair serves as a dictionary key.
     """
-    return space.p, min(_parameter_orbit(space.p, space.q))
+    p, q = space.p, space.q
+    if p == 1:
+        return 1, 0
+    inv = pow(q, -1, p)
+    return p, min(q, p - q, inv, p - inv)

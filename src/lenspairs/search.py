@@ -46,7 +46,7 @@ from .knots import (
     torus,
 )
 from .lens import LensSpace, homeomorphic, make_lens
-from .sequences import InvalidIndex, fib, pair
+from .sequences import InvalidIndex, _fib_pair, pair
 
 __all__ = [
     "CoincidenceRecord",
@@ -217,7 +217,8 @@ def _pell_tori(n):
 
 
 def _fibonacci_cable_kplus(n):
-    fn, fn2 = fib(n), fib(n + 2)
+    fn, fn1 = _fib_pair(n)
+    fn2 = fn + fn1
     return cable(fn, fn2, (-1) ** n), kplus(fn2, fn)
 
 

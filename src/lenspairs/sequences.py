@@ -42,12 +42,17 @@ def fib(n: int) -> int:
     """
     if n < 0:
         raise InvalidIndex("Fibonacci index must be >= 0")
+    return _fib_pair(n)[0]
+
+
+def _fib_pair(n: int) -> tuple[int, int]:
+    # (F(n), F(n+1)) for n >= 0 in one fast-doubling pass
     a, b = 0, 1
     for bit in bin(n)[2:]:
         a, b = a * (2 * b - a), a * a + b * b
         if bit == "1":
             a, b = b, a + b
-    return a
+    return a, b
 
 
 @dataclass(frozen=True)
@@ -65,7 +70,9 @@ def pair(family: str, n: int) -> SequencePair:
     if n < 1:
         raise InvalidIndex("pair index must be >= 1")
     if family == "fibonacci":
-        return SequencePair(family, n, fib(n + 2), fib(n + 3) + fib(n + 1))
+        # a_n = F(n+2) and b_n = F(n+1) + F(n+3) = 2 F(n+1) + F(n+2)
+        f1, f2 = _fib_pair(n + 1)
+        return SequencePair(family, n, f2, 2 * f1 + f2)
     if family == "pell":
         # b_n + a_n sqrt(2) = (1 + sqrt(2))^(n+1), by squaring in Z[sqrt(2)]
         x, y = 1, 0

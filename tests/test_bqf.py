@@ -201,6 +201,36 @@ def test_representatives_match_window_walk():
     check()
 
 
+def test_square_roots_match_sympy_when_a_repeated_odd_prime_divides_delta():
+    hypothesis = pytest.importorskip("hypothesis")
+    sqrt_mod = pytest.importorskip("sympy.ntheory.residue_ntheory").sqrt_mod
+    st = hypothesis.strategies
+
+    # n = p^e k with e >= 2 and delta = p^v delta': every branch of the
+    # p | delta case (v >= e, v < e odd, v < e even) and a cofactor k
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.example(3, 3, 2, 1, 1)
+    @hypothesis.example(5, 4, 2, 6, 3)
+    @hypothesis.example(3, 2, 5, -7, 4)
+    @hypothesis.given(st.sampled_from([3, 5, 7, 11, 13]), st.integers(2, 5), st.integers(1, 7),
+                      st.integers(-200, 200), st.integers(1, 60))
+    def check(p, e, v, rest, k):
+        n = p ** e * k
+        hypothesis.assume(n <= 10 ** 5)
+        delta = p ** v * rest
+        assert sorted(bqf._square_roots(delta, n)) == sorted(sqrt_mod(delta % n, n, all_roots=True))
+
+    check()
+
+
+def test_prime_power_roots_on_a_large_prime_dividing_delta():
+    # the roots follow from the valuation of delta, with no walk over range(p)
+    p = 1000003
+    assert bqf._prime_power_roots(5 * p, p, 1) == [0]
+    assert bqf._prime_power_roots(5 * p, p, 3) == []
+    assert bqf._prime_power_roots(4 * p ** 3, p, 4) == []
+
+
 def test_apply_unit():
     tau = fundamental_unit(32)
     first = apply_unit(F, FormSolution(1, 0), tau)

@@ -79,6 +79,32 @@ def test_homeomorphic_iff_same_canonical_form():
         assert homeomorphic(first, second) == (canonical_form(first) == canonical_form(second))
 
 
+def test_homeomorphic_iff_same_canonical_form_on_large_orders():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    big = 10 ** 80
+
+    # the second parameter is drawn from the first one's class {q, -q, q^-1,
+    # -q^-1} (pick 0-3) or at random (pick 4), since random pairs of a large
+    # order are almost never homeomorphic
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.example(1, 0, 0, 4)
+    @hypothesis.example(2, 1, 1, 0)
+    @hypothesis.example(2, 1, 1, 4)
+    @hypothesis.given(st.integers(1, big), st.integers(0, big), st.integers(0, big), st.integers(0, 4))
+    def check(p, q, r, pick):
+        hypothesis.assume(gcd(p, q) == 1 and gcd(p, r) == 1)
+        q %= p
+        if pick < 4 and p > 1:
+            inv = pow(q, -1, p)
+            r = (q, p - q, inv, p - inv)[pick]
+        first, second = make_lens(p, q), make_lens(p, r)
+        assert homeomorphic(first, second) == (canonical_form(first) == canonical_form(second))
+        assert homeomorphic(second, first) == homeomorphic(first, second)
+
+    check()
+
+
 def test_equivalence_relation_laws():
     rng = random.Random(17)
     for _ in range(1000):

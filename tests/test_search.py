@@ -8,7 +8,7 @@ import pytest
 from lenspairs.cli import run
 from lenspairs.knots import FAMILIES, Lens, SurgerySlope, cable, kplus, lens_surgery, tangle_hh, tangle_th, torus
 from lenspairs.lens import canonical_form, make_lens
-from lenspairs import search
+from lenspairs import lens, search
 from lenspairs.search import (
     SearchConfig,
     enumerate_surgeries,
@@ -176,6 +176,16 @@ def test_verify_family_witnesses():
     assert verify_family("torus_cable", range(1, 31)).passed
     assert verify_family("tangle_kplus", range(1, 13)).passed
     assert verify_family("torus_tangle", range(1, 13)).passed
+
+
+def test_verify_family_takes_no_modular_inverse(monkeypatch):
+    # homeomorphic decides q2 = +-q1 or q1 q2 = +-1 (mod p) by one product;
+    # an inverse of a 400-digit Fibonacci order is the cost it avoids
+    def forbidden(*args):
+        raise AssertionError(f"pow{args} called inside lenspairs.lens")
+
+    monkeypatch.setattr(lens, "pow", forbidden, raising=False)
+    assert verify_family("torus_torus", range(1, 200)).passed
 
 
 @pytest.mark.parametrize("knots,shared", [((torus(2, 3), torus(2, 5)), 0), ((torus(2, 3), torus(2, 3)), 2)])

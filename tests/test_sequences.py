@@ -26,6 +26,16 @@ def test_pell_matches_loop():
         assert (cur.a, cur.b) == pell_loop(n)
 
 
+def test_fibonacci_pair_matches_loop():
+    # a_n = F(n+2), b_n = F(n+3) + F(n+1)
+    fibs = [fib_loop(0), fib_loop(1)]
+    while len(fibs) < 1005:
+        fibs.append(fibs[-1] + fibs[-2])
+    for n in range(1, 1000):
+        cur = pair("fibonacci", n)
+        assert (cur.a, cur.b) == (fibs[n + 2], fibs[n + 3] + fibs[n + 1])
+
+
 def test_pair_values():
     assert (pair("pell", 1).a, pair("pell", 1).b) == (2, 3)
     assert (pair("pell", 3).a, pair("pell", 3).b) == (12, 17)
