@@ -28,7 +28,7 @@ def test_pell_matches_loop():
 
 def test_fibonacci_pair_matches_loop():
     # a_n = F(n+2), b_n = F(n+3) + F(n+1)
-    fibs = [fib_loop(0), fib_loop(1)]
+    fibs = [0, 1]
     while len(fibs) < 1005:
         fibs.append(fibs[-1] + fibs[-2])
     for n in range(1, 1000):
