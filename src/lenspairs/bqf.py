@@ -15,9 +15,11 @@ unit.  The window solutions come from Matthews' LMM method ("The
 Diophantine equation x^2 - Dy^2 = N, D > 0", Expo. Math. 18, 2000): with
 s = 2Ax + By the equation becomes s^2 - D y^2 = 4Am, a continued fraction
 per square root of D mod |4Am/f^2| gives one solution in each class, and
-each class is walked into the window.  The square roots come from the
-factorisation of 4Am/f^2, so the cost tracks sqrt|Am| and the number of
-classes, not W.
+each class is walked into the window.  One factorisation of 4Am per solve
+gives every square divisor f and the factorisation of 4Am/f^2, from which
+the square roots come, so the cost tracks sqrt|Am| and the number of
+classes, not W.  Both methods walk one continued-fraction recurrence,
+``_expansion``.
 Every loop ends on a proven period or orbit bound, never on an iteration
 count.
 
@@ -103,9 +105,9 @@ class UnitElement:
     v: int
 
     def norm(self) -> int:
-        if self.delta % 4 == 0:
-            return self.u * self.u - (self.delta // 4) * self.v * self.v
-        return self.u * self.u + self.u * self.v - ((self.delta - 1) // 4) * self.v * self.v
+        # the element times its conjugate, (t^2 - delta v^2)/4 for the trace t
+        t = self.trace()
+        return (t * t - self.delta * self.v * self.v) // 4
 
     def trace(self) -> int:
         # the element plus its conjugate
@@ -125,7 +127,7 @@ def fundamental_unit(delta: int) -> UnitElement:
     rho = (P_0 + sqrt(delta))/Q_0 with Q_0 = 2 and P_0 = delta mod 2.  Its
     complete quotients are (P_k + sqrt(delta))/Q_k, and the convergent p/q
     before index k gives the element p - q*rho' of norm (-1)^k Q_k/Q_0, where
-    rho' is the conjugate.  The first even k with Q_k = Q_0 therefore gives
+    rho' is the conjugate.  The first even k > 0 with Q_k = Q_0 therefore gives
     the fundamental norm-1 unit, p - q*rho' = u + v*rho.  Q_k = Q_0 marks the
     end of each period of the expansion, so the loop ends within two periods,
     O(sqrt(delta) log delta) steps, however large the unit is.
@@ -134,18 +136,8 @@ def fundamental_unit(delta: int) -> UnitElement:
         raise NotApplicable(f"discriminant {delta} must be positive and nonsquare")
     if delta % 4 in (2, 3):
         raise NotADiscriminant(f"{delta} is 2 or 3 mod 4")
-    root = isqrt(delta)
-    big_p, big_q = delta % 2, 2
-    p_prev, p, q_prev, q = 0, 1, 1, 0
-    k = 0
-    while True:
-        a = (big_p + root) // big_q
-        p_prev, p = p, a * p + p_prev
-        q_prev, q = q, a * q + q_prev
-        big_p = a * big_q - big_p
-        big_q = (delta - big_p * big_p) // big_q
-        k += 1
-        if k % 2 == 0 and big_q == 2:
+    for k, _, big_q, p, q in _expansion(delta, isqrt(delta), delta % 2, 2):
+        if k > 0 and k % 2 == 0 and big_q == 2:
             break
     if delta % 4 == 0:
         return UnitElement(delta, p, q)
@@ -232,24 +224,30 @@ def _pell_classes(delta: int, n: int) -> list[tuple[int, int]]:
     # -|n'|/2 < z <= |n'|/2; z + |n'| gives the same expansion shifted by 1
     # and the same solutions, so [0, |n'|) serves as well
     root = isqrt(delta)
-    square_divisors = [1]
+    # each square divisor f of n with the factorisation of |n|/f^2
+    divisors = [(1, [])]
     for p, e in _factor(abs(n)):
-        square_divisors = [f * p ** i for f in square_divisors for i in range(e // 2 + 1)]
+        divisors = [
+            (f * p ** i, rest + [(p, e - 2 * i)] if 2 * i < e else rest)
+            for f, rest in divisors
+            for i in range(e // 2 + 1)
+        ]
     seeds = []
-    for f in square_divisors:
+    for f, factors in divisors:
         reduced = n // (f * f)
-        for z in _square_roots(delta, abs(reduced)):
+        for z in _square_roots(delta, factors):
             sol = _lmm_solution(delta, reduced, z, root)
             if sol is not None:
                 seeds.append((f * sol[0], f * sol[1]))
     return seeds
 
 
-def _square_roots(delta: int, n: int) -> list[int]:
-    # every z in [0, n) with z^2 = delta mod n: the roots modulo each prime
-    # power of n, glued by the Chinese remainder theorem
+def _square_roots(delta: int, factors: list[tuple[int, int]]) -> list[int]:
+    # every z in [0, n) with z^2 = delta mod n, for n given by its (prime,
+    # exponent) pairs: the roots modulo each prime power of n, glued by the
+    # Chinese remainder theorem
     roots, modulus = [0], 1
-    for p, e in _factor(n):
+    for p, e in factors:
         q = p ** e
         local = _prime_power_roots(delta, p, e)
         step = pow(modulus, -1, q)
@@ -335,27 +333,15 @@ def _sqrt_mod_prime(a: int, p: int) -> int | None:
     return r
 
 
-def _lmm_solution(delta: int, n: int, z: int, root: int) -> tuple[int, int] | None:
-    # the continued fraction of (z + sqrt(delta))/|n| has complete quotients
-    # (P_k + sqrt(delta))/Q_k and convergents A/B with
-    # (|n| A_{k-1} - z B_{k-1})^2 - delta B_{k-1}^2 = (-1)^k Q_k |n|, so a
-    # solution of the class shows as Q_k = 1 with (-1)^k = sign(n).  The
-    # quotients turn reduced and then cycle; once the first reduced state
-    # recurs at the same parity of k, no new (Q_k, k mod 2) can appear.
-    size = abs(n)
-    big_p, big_q = z, size
+def _expansion(delta: int, root: int, big_p: int, big_q: int):
+    # the continued fraction of (P + sqrt(delta))/Q, for Q dividing
+    # delta - P^2 and root = isqrt(delta): yields (k, P_k, Q_k, A_{k-1},
+    # B_{k-1}) for k = 0, 1, ..., where (P_k + sqrt(delta))/Q_k is the k-th
+    # complete quotient and A/B are the convergents, A_{-1}/B_{-1} = 1/0
     a_prev, a_cur, b_prev, b_cur = 0, 1, 1, 0
     k = 0
-    cycle = None
     while True:
-        if big_q == 1 and (k % 2 == 0) == (n > 0):
-            return size * a_cur - z * b_cur, b_cur
-        state = (big_p, big_q, k % 2)
-        if cycle is None:
-            if 0 < big_p <= root and root - big_p < big_q <= root + big_p:
-                cycle = state
-        elif state == cycle:
-            return None
+        yield k, big_p, big_q, a_cur, b_cur
         # floor((P + sqrt(delta))/Q), exact for either sign of Q
         quotient = (big_p + root + (big_q < 0)) // big_q
         a_prev, a_cur = a_cur, quotient * a_cur + a_prev
@@ -363,6 +349,25 @@ def _lmm_solution(delta: int, n: int, z: int, root: int) -> tuple[int, int] | No
         big_p = quotient * big_q - big_p
         big_q = (delta - big_p * big_p) // big_q
         k += 1
+
+
+def _lmm_solution(delta: int, n: int, z: int, root: int) -> tuple[int, int] | None:
+    # the continued fraction of (z + sqrt(delta))/|n| has
+    # (|n| A_{k-1} - z B_{k-1})^2 - delta B_{k-1}^2 = (-1)^k Q_k |n|, so a
+    # solution of the class shows as Q_k = 1 with (-1)^k = sign(n).  The
+    # quotients turn reduced and then cycle; once the first reduced state
+    # recurs at the same parity of k, no new (Q_k, k mod 2) can appear.
+    size = abs(n)
+    cycle = None
+    for k, big_p, big_q, a, b in _expansion(delta, root, z, size):
+        if big_q == 1 and (k % 2 == 0) == (n > 0):
+            return size * a - z * b, b
+        state = (big_p, big_q, k % 2)
+        if cycle is None:
+            if 0 < big_p <= root and root - big_p < big_q <= root + big_p:
+                cycle = state
+        elif state == cycle:
+            return None
 
 
 def _orbit_in_window(form: QuadForm, seed: FormSolution, unit: UnitElement, top: int) -> list[FormSolution]:
@@ -399,13 +404,10 @@ def apply_unit(form: QuadForm, sol: FormSolution, unit: UnitElement, inverse: bo
         raise InvalidUnit(f"unit discriminant {unit.delta} != form discriminant {form.delta}")
     if unit.norm() != 1:
         raise InvalidUnit(f"unit has norm {unit.norm()}, need 1")
-    u, v = unit.u, unit.v
-    if form.delta % 4 == 0:
-        a11 = u - form.B // 2 * v
-        a22 = u + form.B // 2 * v
-    else:
-        a11 = u + (1 - form.B) // 2 * v
-        a22 = u + (1 + form.B) // 2 * v
+    t, v = unit.trace(), unit.v
+    # t is 2u for even delta and B, and 2u + v for odd delta and B, so t -+ B v is even
+    a11 = (t - form.B * v) // 2
+    a22 = (t + form.B * v) // 2
     a12 = form.A * v
     a21 = -form.C * v
     if inverse:
@@ -419,10 +421,10 @@ def generate_solutions(form: QuadForm, m: int, count: int) -> list[FormSolution]
 
     From each window representative the unit action is applied in the
     direction that does not send y negative; every emitted pair is
-    re-checked to satisfy the form exactly.
+    re-checked to satisfy the form exactly.  ``count`` must be at least 1.
     """
     if count < 1:
-        return []
+        raise ValueError("count must be >= 1")
     if m == 0:
         raise ValueError("m must be nonzero")
     tau = fundamental_unit(form.delta)

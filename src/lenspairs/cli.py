@@ -51,28 +51,17 @@ def _emit(args, obj: dict, text: str) -> None:
 def _cmd_surgery(args) -> int:
     knot = KnotDescriptor(args.family, tuple(args.params))
     result = lens_surgery(knot, args.slope)
+    record = {"knot": str(knot), "slope": str(args.slope)}
     if isinstance(result, Lens):
-        _emit(
-            args,
-            {"knot": str(knot), "slope": str(args.slope), "kind": "lens",
-             "p": result.space.p, "q": result.space.q},
-            str(result.space),
-        )
+        record.update(kind="lens", p=result.space.p, q=result.space.q)
+        text = str(result.space)
     elif isinstance(result, ReducibleTwoLens):
-        _emit(
-            args,
-            {"knot": str(knot), "slope": str(args.slope), "kind": "reducible-two-lens",
-             "p": result.p, "q": result.q},
-            f"connected sum of two lens spaces (torus parameters {result.p} and {result.q})",
-        )
+        record.update(kind="reducible-two-lens", p=result.p, q=result.q)
+        text = f"connected sum of two lens spaces (torus parameters {result.p} and {result.q})"
     else:
-        note = f": {result.note}" if result.note else ""
-        _emit(
-            args,
-            {"knot": str(knot), "slope": str(args.slope), "kind": "not-lens",
-             "reason": result.reason, "note": result.note},
-            f"not a lens space ({result.reason}){note}",
-        )
+        record.update(kind="not-lens", reason=result.reason, note=result.note)
+        text = f"not a lens space ({result.reason})" + (f": {result.note}" if result.note else "")
+    _emit(args, record, text)
     return 0
 
 
@@ -162,8 +151,7 @@ def _cmd_identities(args) -> int:
     if args.range < 1:
         raise ValueError("--range must be >= 1")
     failed = 0
-    for name in IDENTITIES:
-        start = 0 if name == "fib_quartic" else 1
+    for name, start in IDENTITIES.items():
         bad = [n for n in range(start, args.range + 1) if not check_identity(name, n)]
         failed += len(bad)
         _emit(
@@ -189,14 +177,10 @@ def _cmd_verify(args) -> int:
 
 def _cmd_search(args) -> int:
     config = search.SearchConfig(
-        families=frozenset(args.families.split(",")),
-        torus_max=args.torus_max,
-        cable_max=args.cable_max,
-        kplus_max=args.kplus_max,
-        tangle_max=args.tangle_max,
-        order_max=args.order_max,
-        slope_denominators=frozenset(int(n) for n in args.denominators.split(",")),
+        families=args.families.split(","),
+        slope_denominators=[int(n) for n in args.denominators.split(",")],
         workers=args.workers,
+        **{name: getattr(args, name) for name in search.SearchConfig.BOUNDS},
     )
     # open --out before the search, so that a path that cannot be written fails at once
     try:
@@ -278,14 +262,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(cmd=_cmd_verify)
 
     p_search = sub.add_parser("search", help="search for knots sharing slope and lens space")
-    p_search.add_argument("--families", default=",".join(sorted(FAMILIES)))
-    p_search.add_argument("--order-max", type=int, default=500)
-    p_search.add_argument("--torus-max", type=int, default=500)
-    p_search.add_argument("--cable-max", type=int, default=500)
-    p_search.add_argument("--kplus-max", type=int, default=60)
-    p_search.add_argument("--tangle-max", type=int, default=20)
-    p_search.add_argument("--denominators", default="1,2")
-    p_search.add_argument("--workers", type=int, default=1)
+    defaults = search.SearchConfig()
+    p_search.add_argument("--families", default=",".join(sorted(defaults.families)))
+    for name in defaults.BOUNDS:
+        p_search.add_argument("--" + name.replace("_", "-"), type=int, default=getattr(defaults, name))
+    p_search.add_argument("--denominators", default=",".join(map(str, sorted(defaults.slope_denominators))))
+    p_search.add_argument("--workers", type=int, default=defaults.workers)
     p_search.add_argument("--out", help="write records to this jsonl file")
     p_search.set_defaults(cmd=_cmd_search)
 

@@ -18,8 +18,10 @@ Five families are modelled, each by a small tuple of positive integers:
   every other slope reports an unknown outcome rather than guessing.
 
 ``_TABLE`` is the one home of per-family knowledge, for this module, the
-search and the command line.  Adding a family means adding one entry, one
-constructor and one ``--*-max`` search bound.
+search and the command line.  Adding a family means adding one entry and
+one constructor; a family whose ``cap`` is new also needs that one
+``SearchConfig`` field, and the command line derives its ``--*-max`` flag
+from the field.
 
 Only right-handed representatives and positive slopes are modelled; mirror
 images are out of scope.

@@ -74,12 +74,16 @@ class SearchConfig:
     slope_denominators: frozenset = frozenset({1, 2})
     workers: int = 1
 
+    # the integer bounds, in the order of the search flags: the lens order,
+    # then each cap that the family table names
+    BOUNDS = ("order_max", *dict.fromkeys(entry.cap for entry in _TABLE.values()))
+
     def __post_init__(self):
         object.__setattr__(self, "families", frozenset(self.families))
         object.__setattr__(self, "slope_denominators", frozenset(self.slope_denominators))
         if not self.families <= set(FAMILIES):
             raise ValueError(f"unknown families {sorted(self.families - set(FAMILIES))}")
-        for name in ("torus_max", "cable_max", "kplus_max", "tangle_max", "order_max", "workers"):
+        for name in (*self.BOUNDS, "workers"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         if not self.slope_denominators <= frozenset(range(1, 17)):

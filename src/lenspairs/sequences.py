@@ -27,7 +27,8 @@ __all__ = [
     "pair",
 ]
 
-IDENTITIES = ("cassini", "fib_cross", "pell_cross", "pell_product", "fib_quartic")
+# each identity with the first index at which it holds
+IDENTITIES = {"cassini": 1, "fib_cross": 1, "pell_cross": 1, "pell_product": 1, "fib_quartic": 0}
 
 
 class InvalidIndex(ValueError):
@@ -87,39 +88,34 @@ def pair(family: str, n: int) -> SequencePair:
 def check_identity(name: str, n: int) -> bool:
     """Evaluate both sides of the named identity at index n; True iff equal.
 
-    cassini       F(k-1) F(k+1) - F(k)^2 = (-1)^k                    for k >= 1
-    fib_cross     a(n+1) b(n) + (-1)^(n+1) = a(n) b(n+1) + (-1)^n    fibonacci, n >= 1
-    pell_cross    2 a(n) b(n+1) + (-1)^(n+1) = 2 a(n+1) b(n) + (-1)^n    pell, n >= 1
+    cassini       F(n-1) F(n+1) - F(n)^2 = (-1)^n
+    fib_cross     a(n+1) b(n) + (-1)^(n+1) = a(n) b(n+1) + (-1)^n    fibonacci
+    pell_cross    2 a(n) b(n+1) + (-1)^(n+1) = 2 a(n+1) b(n) + (-1)^n    pell
     pell_product  4 a(n+1)^2 b(n+1)^2 + 1 =
-                  (2 a(n+1) b(n+2) + (-1)^(n+2)) (2 a(n) b(n+1) + (-1)^(n+1))    pell, n >= 1
+                  (2 a(n+1) b(n+2) + (-1)^(n+2)) (2 a(n) b(n+1) + (-1)^(n+1))    pell
     fib_quartic   4 F(n)^4 + (-1)^n F(n+2)^2 =
-                  (4 F(n) F(n+2) + (-1)^n) (F(n+2)^2 - 4 F(n) F(n+1))    n >= 0
+                  (4 F(n) F(n+2) + (-1)^n) (F(n+2)^2 - 4 F(n) F(n+1))
+
+    n must be at least the identity's first index in ``IDENTITIES``.
     """
+    if name not in IDENTITIES:
+        raise InvalidIndex(f"unknown identity {name!r}")
+    if n < IDENTITIES[name]:
+        raise InvalidIndex(f"{name} needs n >= {IDENTITIES[name]}")
     if name == "cassini":
-        if n < 1:
-            raise InvalidIndex("cassini needs k >= 1")
         return fib(n - 1) * fib(n + 1) - fib(n) ** 2 == (-1) ** n
     if name == "fib_cross":
-        if n < 1:
-            raise InvalidIndex("fib_cross needs n >= 1")
         cur, nxt = pair("fibonacci", n), pair("fibonacci", n + 1)
         return nxt.a * cur.b + (-1) ** (n + 1) == cur.a * nxt.b + (-1) ** n
     if name == "pell_cross":
-        if n < 1:
-            raise InvalidIndex("pell_cross needs n >= 1")
         cur, nxt = pair("pell", n), pair("pell", n + 1)
         return 2 * cur.a * nxt.b + (-1) ** (n + 1) == 2 * nxt.a * cur.b + (-1) ** n
     if name == "pell_product":
-        if n < 1:
-            raise InvalidIndex("pell_product needs n >= 1")
         cur, nxt, far = pair("pell", n), pair("pell", n + 1), pair("pell", n + 2)
         lhs = 4 * nxt.a ** 2 * nxt.b ** 2 + 1
         rhs = (2 * nxt.a * far.b + (-1) ** (n + 2)) * (2 * cur.a * nxt.b + (-1) ** (n + 1))
         return lhs == rhs
-    if name == "fib_quartic":
-        if n < 0:
-            raise InvalidIndex("fib_quartic needs n >= 0")
-        fn, fn1, fn2 = fib(n), fib(n + 1), fib(n + 2)
-        sign = (-1) ** n
-        return 4 * fn ** 4 + sign * fn2 ** 2 == (4 * fn * fn2 + sign) * (fn2 ** 2 - 4 * fn * fn1)
-    raise InvalidIndex(f"unknown identity {name!r}")
+    # fib_quartic
+    fn, fn1, fn2 = fib(n), fib(n + 1), fib(n + 2)
+    sign = (-1) ** n
+    return 4 * fn ** 4 + sign * fn2 ** 2 == (4 * fn * fn2 + sign) * (fn2 ** 2 - 4 * fn * fn1)

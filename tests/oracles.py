@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from math import isqrt
 
-from lenspairs.bqf import FormSolution, QuadForm
+from lenspairs.bqf import FormSolution, QuadForm, UnitElement
 from lenspairs.dualknot import BasicSequenceStats, DualKnotTriple, kplus_is_hyperbolic
 from lenspairs.knots import (
     FAMILIES,
@@ -86,6 +86,27 @@ def solutions_in_box(form: QuadForm, m: int, bound: int) -> list[FormSolution]:
                     found.append(FormSolution(x, y))
     found.sort(key=lambda sol: (sol.y, sol.x))
     return found
+
+
+def unit_norm(unit: UnitElement) -> int:
+    """The norm of u + v*rho, one formula per parity of the discriminant."""
+    u, v, delta = unit.u, unit.v, unit.delta
+    if delta % 4 == 0:
+        return u * u - (delta // 4) * v * v
+    return u * u + u * v - ((delta - 1) // 4) * v * v
+
+
+def unit_matrix(form: QuadForm, unit: UnitElement) -> tuple[int, int, int, int]:
+    """(a11, a12, a21, a22) of the unit action, one formula per parity of the
+    discriminant; (x, y) goes to (x a11 + y a21, x a12 + y a22)."""
+    u, v = unit.u, unit.v
+    if form.delta % 4 == 0:
+        a11 = u - form.B // 2 * v
+        a22 = u + form.B // 2 * v
+    else:
+        a11 = u + (1 - form.B) // 2 * v
+        a22 = u + (1 + form.B) // 2 * v
+    return a11, form.A * v, -form.C * v, a22
 
 
 def fib_loop(n: int) -> int:

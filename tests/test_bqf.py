@@ -1,7 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 
@@ -21,7 +21,7 @@ from lenspairs.bqf import (
     orbit_representatives,
     window_bound,
 )
-from oracles import solutions_in_box
+from oracles import solutions_in_box, unit_matrix, unit_norm
 
 F = QuadForm(1, -6, 1)  # discriminant 32
 G = QuadForm(1, -6, -1)  # discriminant 40
@@ -218,7 +218,7 @@ def test_square_roots_match_sympy_when_a_repeated_odd_prime_divides_delta():
         n = p ** e * k
         hypothesis.assume(n <= 10 ** 5)
         delta = p ** v * rest
-        assert sorted(bqf._square_roots(delta, n)) == sorted(sqrt_mod(delta % n, n, all_roots=True))
+        assert sorted(bqf._square_roots(delta, bqf._factor(n))) == sorted(sqrt_mod(delta % n, n, all_roots=True))
 
     check()
 
@@ -254,6 +254,45 @@ def test_apply_unit_rejects_bad_units():
         apply_unit(F, FormSolution(1, 0), UnitElement(32, 2, 1))  # norm -4
     with pytest.raises(InvalidUnit):
         apply_unit(F, FormSolution(1, 0), fundamental_unit(40))  # wrong discriminant
+
+
+def test_unit_action_matches_the_parity_formulas():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    # delta = 4k + r and a form B^2 - 4AC = delta with A dividing (B^2 - delta)/4,
+    # and either the fundamental unit (with a sign) or an arbitrary u + v*rho
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.example(8, 0, 0, 1, 1, None)
+    @hypothesis.example(1, 1, 1, 1, -1, None)
+    @hypothesis.example(10, 0, 6, 2, 1, (2, 1))
+    @hypothesis.example(10, 0, 6, 2, 1, (1, 0))
+    @hypothesis.given(st.integers(1, 250000), st.sampled_from([0, 1]), st.integers(-40, 40), st.integers(1, 30),
+                      st.sampled_from([1, -1]),
+                      st.none() | st.tuples(st.integers(-10 ** 6, 10 ** 6), st.integers(-10 ** 6, 10 ** 6)))
+    def check(k, r, b, a, sign, uv):
+        delta = 4 * k + r
+        hypothesis.assume(is_perfect_square(delta) is None)
+        b += (b - r) % 2
+        n = (b * b - delta) // 4
+        a = sign * gcd(n, a)
+        form = QuadForm(a, b, n // a)
+        if uv is None:
+            tau = fundamental_unit(delta)
+            unit = UnitElement(delta, sign * tau.u, sign * tau.v)
+        else:
+            unit = UnitElement(delta, *uv)
+        assert unit.norm() == unit_norm(unit)
+        if unit_norm(unit) != 1:
+            with pytest.raises(InvalidUnit):
+                apply_unit(form, FormSolution(1, 0), unit)
+            return
+        a11, a12, a21, a22 = unit_matrix(form, unit)
+        for x, y in ((1, 0), (0, 1), (3, -7)):
+            assert apply_unit(form, FormSolution(x, y), unit) == (x * a11 + y * a21, x * a12 + y * a22)
+            assert apply_unit(form, FormSolution(x, y), unit, inverse=True) == (x * a22 - y * a21, -x * a12 + y * a11)
+
+    check()
 
 
 def test_generate_solutions():
@@ -350,3 +389,27 @@ def test_generate_solutions_finds_the_unit_once(monkeypatch):
     sols = generate_solutions(F, 1, 3)
     assert calls == [F.delta]
     assert sols and all(F(x, y) == 1 for x, y in sols)
+
+
+def test_generate_solutions_factors_once_per_solve(monkeypatch):
+    # 4Am = 4 * 441 = 2^2 3^2 7^2 has 8 square divisors, each of which once had its own factorisation
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return factor(n)
+
+    factor = bqf._factor
+    monkeypatch.setattr(bqf, "_factor", counted)
+    form = QuadForm(1, 0, -2)
+    sols = generate_solutions(form, 441, 2)
+    assert calls == [4 * 441]
+    assert sols and all(form(x, y) == 441 for x, y in sols)
+
+
+@pytest.mark.parametrize("count", [0, -2])
+def test_generate_solutions_rejects_a_count_below_one(count):
+    form = QuadForm(1, 0, -2)
+    for m in (1, 0):
+        with pytest.raises(ValueError, match="count must be >= 1"):
+            generate_solutions(form, m, count)

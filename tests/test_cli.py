@@ -9,7 +9,8 @@ import pytest
 
 from lenspairs import cli, knots
 from lenspairs.cli import build_parser, run
-from lenspairs.sequences import fib
+from lenspairs.search import SearchConfig
+from lenspairs.sequences import IDENTITIES, fib
 
 # the fixed regression set: (argv, expected exit code)
 REGRESSION_SET = [
@@ -89,6 +90,37 @@ def test_identities_output(capsys):
     assert run(["identities", "--range", "25"]) == 0
     out = capsys.readouterr().out
     assert out.count("PASS") == 5
+
+
+def test_identities_start_at_each_first_index(capsys):
+    assert run(["--jsonl", "identities", "--range", "3"]) == 0
+    reports = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [report["identity"] for report in reports] == list(IDENTITIES)
+    for report in reports:
+        assert report["range"] == [IDENTITIES[report["identity"]], 3]
+
+
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_bqf_solve_count_below_one_is_a_usage_error(count, capsys):
+    # x^2 - 2y^2 = 1 has solutions, so "no solutions" would be wrong; m = 0 is rejected too
+    for m in ("1", "0"):
+        assert run(["bqf", "solve", "1", "0", "-2", m, "--count", count]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: count must be >= 1\n")
+
+
+def test_search_flag_defaults_are_the_config_defaults(monkeypatch, capsys):
+    seen = []
+
+    def capture(config):
+        seen.append(config)
+        return []
+
+    monkeypatch.setattr("lenspairs.search.find_coincidences", capture)
+    assert run(["search"]) == 0
+    capsys.readouterr()
+    assert seen == [SearchConfig()]
 
 
 def test_usage_errors(capsys):

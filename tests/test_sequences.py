@@ -85,6 +85,13 @@ def test_identity_range_errors():
         check_identity("nope", 3)
 
 
+def test_each_identity_starts_at_its_first_index():
+    for name, first in IDENTITIES.items():
+        assert check_identity(name, first)
+        with pytest.raises(InvalidIndex, match=f"{name} needs n >= {first}"):
+            check_identity(name, first - 1)
+
+
 def test_identities_tuple_is_exhaustive():
     for name in IDENTITIES:
         assert check_identity(name, 1)
