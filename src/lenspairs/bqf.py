@@ -76,9 +76,7 @@ class QuadForm:
     C: int
 
     def __post_init__(self):
-        d = self.delta
-        if d <= 0 or is_perfect_square(d) is not None:
-            raise NotApplicable(f"discriminant {d} must be positive and nonsquare")
+        _check_discriminant(self.delta)
 
     @property
     def delta(self) -> int:
@@ -114,6 +112,14 @@ class UnitElement:
         return 2 * self.u if self.delta % 4 == 0 else 2 * self.u + self.v
 
 
+def _check_discriminant(delta: int) -> None:
+    # positive, nonsquare and 0 or 1 mod 4, as a form's B^2 - 4AC always is
+    if delta <= 0 or is_perfect_square(delta) is not None:
+        raise NotApplicable(f"discriminant {delta} must be positive and nonsquare")
+    if delta % 4 in (2, 3):
+        raise NotADiscriminant(f"{delta} is 2 or 3 mod 4")
+
+
 class FormSolution(NamedTuple):
     """An integral solution (x, y) of f(x, y) = m."""
 
@@ -132,10 +138,7 @@ def fundamental_unit(delta: int) -> UnitElement:
     end of each period of the expansion, so the loop ends within two periods,
     O(sqrt(delta) log delta) steps, however large the unit is.
     """
-    if delta <= 0 or is_perfect_square(delta) is not None:
-        raise NotApplicable(f"discriminant {delta} must be positive and nonsquare")
-    if delta % 4 in (2, 3):
-        raise NotADiscriminant(f"{delta} is 2 or 3 mod 4")
+    _check_discriminant(delta)
     for k, _, big_q, p, q in _expansion(delta, isqrt(delta), delta % 2, 2):
         if k > 0 and k % 2 == 0 and big_q == 2:
             break
@@ -428,21 +431,17 @@ def generate_solutions(form: QuadForm, m: int, count: int) -> list[FormSolution]
     if m == 0:
         raise ValueError("m must be nonzero")
     tau = fundamental_unit(form.delta)
-    reps = _representatives(form, m, tau)
-    if not reps:
-        return []
     out = []
-    for rep in reps:
+    for rep in _representatives(form, m, tau):
         chain = [rep]
-        if count > 1:
-            forward = apply_unit(form, rep, tau)
-            backward = apply_unit(form, rep, tau, inverse=True)
-            growing = [s for s in (forward, backward) if s.y >= rep.y]
-            nxt = min(growing or [forward, backward], key=lambda s: (s.y, s.x))
-            use_inverse = nxt == backward and nxt != forward
-            while len(chain) < count:
-                chain.append(nxt)
-                nxt = apply_unit(form, nxt, tau, inverse=use_inverse)
+        forward = apply_unit(form, rep, tau)
+        backward = apply_unit(form, rep, tau, inverse=True)
+        growing = [s for s in (forward, backward) if s.y >= rep.y]
+        nxt = min(growing or [forward, backward], key=lambda s: (s.y, s.x))
+        use_inverse = nxt == backward and nxt != forward
+        while len(chain) < count:
+            chain.append(nxt)
+            nxt = apply_unit(form, nxt, tau, inverse=use_inverse)
         for sol in chain:
             if form(sol.x, sol.y) != m:
                 raise AssertionError(f"orbit walk left the solution set at {sol}")
@@ -479,8 +478,11 @@ def divisibility_scan(a_range, b_range, c_range, n_range) -> DivisibilityReport:
     test (for a > 1 and n >= 3 no divisibility ever occurs) concerns
     nonzero values, so b = c with the minus sign is skipped.  Ranges are
     taken literally, which lets callers probe the a = 1 boundary where the
-    claim genuinely fails.
+    claim genuinely fails.  A value of a, b, c or n below 1 raises
+    ``ValueError``: there n*a*b*c +- 1 can be +-1, which divides everything.
     """
+    if any(value < 1 for values in (a_range, b_range, c_range, n_range) for value in values):
+        raise ValueError("a, b, c and n must be >= 1")
     hits = []
     checked = 0
     for a in a_range:

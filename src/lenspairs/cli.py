@@ -41,11 +41,12 @@ def _parse_range(text: str) -> range:
         raise ValueError(f"malformed range {text!r}, expected 'a..b'") from None
 
 
-def _emit(args, obj: dict, text: str) -> None:
-    if args.jsonl:
-        print(json.dumps(obj, sort_keys=True))
-    else:
+def _emit(args, obj: dict | None, text: str) -> None:
+    # obj None marks a line that only the text mode prints
+    if not args.jsonl:
         print(text)
+    elif obj is not None:
+        print(json.dumps(obj, sort_keys=True))
 
 
 def _cmd_surgery(args) -> int:
@@ -103,14 +104,10 @@ def _cmd_dual(args) -> int:
 def _cmd_bqf_solve(args) -> int:
     form = bqf.QuadForm(args.A, args.B, args.C)
     sols = bqf.generate_solutions(form, args.m, args.count)
-    if args.jsonl:
-        for sol in sols:
-            print(json.dumps({"x": sol.x, "y": sol.y}))
-    elif sols:
-        for sol in sols:
-            print(f"({sol.x}, {sol.y})")
-    else:
-        print("no solutions")
+    for sol in sols:
+        _emit(args, {"x": sol.x, "y": sol.y}, f"({sol.x}, {sol.y})")
+    if not sols:
+        _emit(args, None, "no solutions")
     return 0
 
 

@@ -29,6 +29,7 @@ images are out of scope.
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Callable
 from dataclasses import dataclass
 from math import gcd, isqrt
@@ -114,8 +115,7 @@ class SurgerySlope:
         if n < 0:
             m, n = -m, -n
         g = gcd(m, n)
-        if g > 1:
-            m, n = m // g, n // g
+        m, n = m // g, n // g
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "n", n)
 
@@ -169,6 +169,7 @@ def _inverted(m, q):
 
 
 def _coprime_pairs(top, lo, hi, k):
+    # coprime 2 <= a < b <= top with lo <= k*a*b + 1 and k*a*b - 1 < hi, by a then b
     for a in range(2, top + 1):
         last = min(top, hi // (k * a))  # coprime 2 <= a < b <= last have k*a*b - 1 < hi
         if last <= a:
@@ -287,12 +288,18 @@ _TABLE = {
 FAMILIES = tuple(_TABLE)
 
 
-def _rows(family: str, config, lo: int, hi: int):
-    """Yield (m, n, family, params, q, q_inv) for each knot of the family up to its
-    ``config`` cap and each lens slope m/n with lo <= m < hi, giving L(m, q), with
-    q*q_inv = 1 mod m; neither q nor q_inv is reduced yet."""
-    entry = _TABLE[family]
-    return entry.rows(family, entry.slopes, getattr(config, entry.cap), lo, hi, config.slope_denominators)
+def _rows(config, lo: int, hi: int):
+    """Yield (m, n, family, params, q, q_inv) for each knot of each family in
+    ``config.families`` up to its ``config`` cap and each lens slope m/n with
+    lo <= m < min(hi, ``config.order_max`` + 1), giving L(m, q), with
+    q*q_inv = 1 mod m; neither q nor q_inv is reduced yet.  Rows come in no
+    particular order."""
+    hi = min(hi, config.order_max + 1)
+    return itertools.chain.from_iterable(
+        entry.rows(family, entry.slopes, getattr(config, entry.cap), lo, hi, config.slope_denominators)
+        for family, entry in _TABLE.items()
+        if family in config.families
+    )
 
 
 def lens_surgery(knot: KnotDescriptor, slope: SurgerySlope) -> SurgeryResult:

@@ -95,7 +95,5 @@ def canonical_form(space: LensSpace) -> tuple[int, int]:
     are equal, so the pair serves as a dictionary key.
     """
     p, q = space.p, space.q
-    if p == 1:
-        return 1, 0
     inv = pow(q, -1, p)
     return p, min(q, p - q, inv, p - inv)

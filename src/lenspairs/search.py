@@ -3,8 +3,8 @@
 The candidates are the knots of the configured families together with
 their designated lens slopes m/n up to the order bound; the lens space of
 m/n-surgery has order m.  ``find_coincidences`` splits the range of m into
-shards that share no bucket.  Each shard enumerates only its own
-candidates as plain integer rows, buckets them by (m, n, unoriented lens
+shards that share no bucket.  Each shard takes its own candidates as plain
+integer rows from ``knots._rows``, buckets them by (m, n, unoriented lens
 class) and builds knot and lens-space objects only for the buckets with at
 least two members.  Shards run one at a time in this process, or over a
 pool of ``workers`` processes capped at ``os.cpu_count()``; any worker count
@@ -30,13 +30,13 @@ import itertools
 import json
 import os
 from dataclasses import dataclass, field
-from math import gcd
 
 from .knots import (
     FAMILIES,
     KnotDescriptor,
     SurgerySlope,
     _TABLE,
+    _coprime_pairs,
     _rows,
     cable,
     distinct,
@@ -90,16 +90,9 @@ class SearchConfig:
             raise ValueError("slope denominators must lie in [1, 16]")
 
 
-def _shard_rows(config: SearchConfig, lo: int, hi: int):
-    """Yield (m, n, family, params, q, q_inv) for every candidate with lo <= m < hi,
-    from the family enumerators of ``knots``; rows come in no particular order."""
-    hi = min(hi, config.order_max + 1)
-    return itertools.chain.from_iterable(_rows(f, config, lo, hi) for f in FAMILIES if f in config.families)
-
-
 def enumerate_surgeries(config: SearchConfig):
     """Yield (knot, slope, lens space) in deterministic (family, params, slope) order."""
-    rows = _shard_rows(config, 1, config.order_max + 1)
+    rows = _rows(config, 1, config.order_max + 1)
     for m, n, family, params, q, _ in sorted(rows, key=lambda r: (r[2], r[3], r[1], r[0])):
         yield KnotDescriptor(family, params), SurgerySlope(m, n), make_lens(m, q)
 
@@ -166,7 +159,7 @@ def _shard_records(task) -> list[CoincidenceRecord]:
     """The finished records of one shard (config, lo, hi) of lens orders."""
     config, lo, hi = task
     buckets: dict = {}
-    for m, n, family, params, q, q_inv in _shard_rows(config, lo, hi):
+    for m, n, family, params, q, q_inv in _rows(config, lo, hi):
         # the unoriented class of L(m, q) is {±q, ±q^-1} mod m; the row brings its own inverse
         q %= m
         q_inv %= m
@@ -206,7 +199,7 @@ def find_coincidences(config: SearchConfig) -> list[CoincidenceRecord]:
 
         with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
             records = [record for part in pool.map(_shard_records, tasks) for record in part]
-    records.sort(key=lambda r: (r.lens_class[0], r.slope.m, r.slope.n, r.lens_class[1]))
+    records.sort(key=lambda r: (r.slope.m, r.slope.n, r.lens_class[1]))
     return records
 
 
@@ -322,10 +315,8 @@ def verify_no_nonintegral_pairs(p_max: int, n_min: int, n_max: int) -> Nonintegr
     if n_min < 3:
         raise InvalidIndex("meaningful only for slope denominators >= 3")
     by_product: dict[int, list] = {}
-    for p in range(3, p_max + 1):
-        for q in range(2, p):
-            if gcd(p, q) == 1:
-                by_product.setdefault(p * q, []).append((p, q))
+    for q, p in _coprime_pairs(p_max, 1, p_max * p_max, 1):
+        by_product.setdefault(p * q, []).append((p, q))
     torus_slopes = _TABLE["torus"].slopes
     pairs = []
     checked = 0

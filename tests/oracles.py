@@ -8,7 +8,8 @@ paper's formulas."""
 
 from __future__ import annotations
 
-from math import isqrt
+import itertools
+from math import gcd, isqrt
 
 from lenspairs.bqf import FormSolution, QuadForm, UnitElement
 from lenspairs.dualknot import BasicSequenceStats, DualKnotTriple, kplus_is_hyperbolic
@@ -107,6 +108,22 @@ def unit_matrix(form: QuadForm, unit: UnitElement) -> tuple[int, int, int, int]:
         a11 = u + (1 - form.B) // 2 * v
         a22 = u + (1 + form.B) // 2 * v
     return a11, form.A * v, -form.C * v, a22
+
+
+def torus_pairs_sharing_a_product(p_max: int) -> tuple:
+    """Each pair ((p, q), (r, s)) of coprime parameter pairs with p*q = r*s,
+    2 <= q < p <= p_max and 2 <= s < r < p, in order of the product, then of
+    (r, s), then of (p, q)."""
+    by_product: dict[int, list] = {}
+    for p in range(3, p_max + 1):
+        for q in range(2, p):
+            if gcd(p, q) == 1:
+                by_product.setdefault(p * q, []).append((p, q))
+    return tuple(
+        (first, second)
+        for product in sorted(by_product)
+        for second, first in itertools.combinations(sorted(by_product[product]), 2)
+    )
 
 
 def fib_loop(n: int) -> int:

@@ -303,6 +303,12 @@ def test_generate_solutions():
         assert G(sol.x, sol.y) == 1
 
 
+def test_generate_solutions_at_count_one_are_the_representatives():
+    # F = -1 has no solutions
+    for form, m in ((F, 1), (F, -1), (G, 1), (G, -1), (QuadForm(1, 1, -60), 1), (QuadForm(1, 0, -2), 7)):
+        assert generate_solutions(form, m, 1) == orbit_representatives(form, m)
+
+
 def test_solutions_in_box_matches_naive_oracle():
     assert solutions_in_box(F, 1, 40) == naive_box(F, 1, 40)
     assert solutions_in_box(F, 2, 40) == naive_box(F, 2, 40) == []
@@ -376,6 +382,16 @@ def test_divisibility_scan_skips_zero_difference():
     # b = c makes b^2 - c^2 = 0; divisibility of zero is vacuous, not a hit
     report = divisibility_scan(range(2, 3), range(1, 2), range(1, 2), range(3, 4))
     assert report.clean
+
+
+@pytest.mark.parametrize("position", range(4))
+@pytest.mark.parametrize("low", [0, -3])
+def test_divisibility_scan_rejects_values_below_one(position, low):
+    # with a value below 1, n*a*b*c +- 1 can be +-1, which would divide everything
+    ranges = [range(1, 3), range(1, 3), range(1, 3), range(3, 4)]
+    ranges[position] = range(low, 2)
+    with pytest.raises(ValueError, match="must be >= 1"):
+        divisibility_scan(*ranges)
 
 
 def test_generate_solutions_finds_the_unit_once(monkeypatch):

@@ -110,6 +110,18 @@ def test_bqf_solve_count_below_one_is_a_usage_error(count, capsys):
         assert captured.err.startswith("error: count must be >= 1\n")
 
 
+@pytest.mark.parametrize("bounds", [
+    ["--a-min", "0", "--a-max", "0", "--bc-max", "2", "--n", "3..3"],
+    ["--a-max", "2", "--bc-max", "2", "--n", "0..0"],
+])
+def test_bqf_scan_outside_the_domain_is_a_usage_error(bounds, capsys):
+    # n*a*b*c +- 1 would be +-1 there, so every value would read as a counterexample
+    assert run(["bqf", "scan", *bounds]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: a, b, c and n must be >= 1\n")
+
+
 def test_search_flag_defaults_are_the_config_defaults(monkeypatch, capsys):
     seen = []
 

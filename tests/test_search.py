@@ -17,6 +17,7 @@ from lenspairs.search import (
     verify_no_nonintegral_pairs,
 )
 from lenspairs.sequences import InvalidIndex
+from oracles import torus_pairs_sharing_a_product
 
 
 def test_config_validation():
@@ -51,6 +52,12 @@ def test_enumerate_respects_order_bound():
     for _, slope, space in enumerate_surgeries(config):
         assert space.p <= 60
         assert slope.m <= 60
+
+
+def test_find_coincidences_respects_order_bound():
+    # at order_max 38 the last shard spans orders 37..39, and order 39 holds a record
+    assert any(r.slope.m == 39 for r in find_coincidences(SearchConfig(order_max=39)))
+    assert all(r.slope.m <= 38 for r in find_coincidences(SearchConfig(order_max=38)))
 
 
 def test_find_coincidences_torus_pair():
@@ -224,6 +231,11 @@ def test_no_nonintegral_pairs():
     assert ((15, 2), (10, 3)) in report.pairs
     # every pair is checked at both signs for every denominator
     assert report.checked == len(report.pairs) * 4 * 2
+
+
+@pytest.mark.parametrize("p_max", [12, 40, 60])
+def test_no_nonintegral_pairs_match_the_product_grouping(p_max):
+    assert verify_no_nonintegral_pairs(p_max, 3, 8).pairs == torus_pairs_sharing_a_product(p_max)
 
 
 def test_no_nonintegral_pairs_smallest_case():
