@@ -480,7 +480,10 @@ def divisibility_scan(a_range, b_range, c_range, n_range) -> DivisibilityReport:
     taken literally, which lets callers probe the a = 1 boundary where the
     claim genuinely fails.  A value of a, b, c or n below 1 raises
     ``ValueError``: there n*a*b*c +- 1 can be +-1, which divides everything.
+    So does an empty range, which would check nothing and report clean.
     """
+    if not all((a_range, b_range, c_range, n_range)):
+        raise ValueError("the a, b, c and n ranges must not be empty")
     if any(value < 1 for values in (a_range, b_range, c_range, n_range) for value in values):
         raise ValueError("a, b, c and n must be >= 1")
     hits = []

@@ -4,9 +4,10 @@ The candidates are the knots of the configured families together with
 their designated lens slopes m/n up to the order bound; the lens space of
 m/n-surgery has order m.  ``find_coincidences`` splits the range of m into
 shards that share no bucket.  Each shard takes its own candidates as plain
-integer rows from ``knots._rows``, buckets them by (m, n, unoriented lens
-class) and builds knot and lens-space objects only for the buckets with at
-least two members.  Shards run one at a time in this process, or over a
+integer rows from ``knots._rows`` and buckets them by (m, n, unoriented
+lens class).  A class with one member keeps only its row; a list exists
+only for a class that two or more rows share, and only those become knot
+and lens-space objects.  Shards run one at a time in this process, or over a
 pool of ``workers`` processes capped at ``os.cpu_count()``; any worker count
 gives the same records.  Because the artifact cannot always certify
 non-equivalence, every record carries both its raw member count and the
@@ -156,20 +157,36 @@ _SHARD_WIDTH = 4096
 
 
 def _shard_records(task) -> list[CoincidenceRecord]:
-    """The finished records of one shard (config, lo, hi) of lens orders."""
+    """The finished records of one shard (config, lo, hi) of lens orders.
+
+    ``first`` maps each bucket key to the first row that ``knots._rows``
+    yields for it, unchanged; a list is made only when a second row arrives,
+    so a class with one member, nearly every class, keeps only its row.
+    """
     config, lo, hi = task
-    buckets: dict = {}
-    for m, n, family, params, q, q_inv in _rows(config, lo, hi):
-        # the unoriented class of L(m, q) is {±q, ±q^-1} mod m; the row brings its own inverse
+    first: dict = {}
+    shared: dict = {}
+    for row in _rows(config, lo, hi):
+        m, n, _, _, q, q_inv = row
+        # the unoriented class of L(m, q) is {±q, ±q^-1} mod m; the row brings its own inverse.
+        # Its least member is the smaller of min(q, m - q) and min(q_inv, m - q_inv).
         q %= m
+        if q > m - q:
+            q = m - q
         q_inv %= m
-        buckets.setdefault((m, n, min(q, m - q, q_inv, m - q_inv)), []).append((family, params, q))
+        if q_inv > m - q_inv:
+            q_inv = m - q_inv
+        key = (m, n, q if q < q_inv else q_inv)
+        other = first.setdefault(key, row)
+        if other is not row:
+            shared.setdefault(key, [other]).append(row)
     records = []
-    for (m, n, q_min), rows in buckets.items():
-        if len(rows) >= 2:
-            # (family, params) order is the enumeration order
-            members = tuple((KnotDescriptor(f, params), make_lens(m, q)) for f, params, q in sorted(rows))
-            records.append(CoincidenceRecord(SurgerySlope(m, n), (m, q_min), members))
+    for (m, n, q_min), rows in shared.items():
+        # the rows of a bucket share m and n, so they sort in (family, params) order, the enumeration order
+        members = tuple(
+            (KnotDescriptor(family, params), make_lens(m, q)) for _, _, family, params, q, _ in sorted(rows)
+        )
+        records.append(CoincidenceRecord(SurgerySlope(m, n), (m, q_min), members))
     return records
 
 

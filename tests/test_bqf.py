@@ -394,6 +394,15 @@ def test_divisibility_scan_rejects_values_below_one(position, low):
         divisibility_scan(*ranges)
 
 
+@pytest.mark.parametrize("position", range(4))
+def test_divisibility_scan_rejects_an_empty_range(position):
+    # an empty box checks nothing, which must not read as a clean verification
+    ranges = [range(2, 4), range(1, 3), range(1, 3), range(3, 5)]
+    ranges[position] = range(5, 3)
+    with pytest.raises(ValueError, match="must not be empty"):
+        divisibility_scan(*ranges)
+
+
 def test_generate_solutions_finds_the_unit_once(monkeypatch):
     calls = []
 

@@ -122,6 +122,19 @@ def test_bqf_scan_outside_the_domain_is_a_usage_error(bounds, capsys):
     assert captured.err.startswith("error: a, b, c and n must be >= 1\n")
 
 
+@pytest.mark.parametrize("bounds", [
+    ["--a-max", "4", "--bc-max", "0", "--n", "3..5"],
+    ["--a-min", "5", "--a-max", "2", "--bc-max", "5", "--n", "3..5"],
+    ["--a-max", "3", "--bc-max", "5", "--n", "5..3"],
+])
+def test_bqf_scan_of_an_empty_box_is_a_usage_error(bounds, capsys):
+    # zero checks would otherwise print "0 counterexamples" and exit 0
+    assert run(["bqf", "scan", *bounds]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: the a, b, c and n ranges must not be empty\n")
+
+
 def test_search_flag_defaults_are_the_config_defaults(monkeypatch, capsys):
     seen = []
 

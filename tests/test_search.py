@@ -116,6 +116,33 @@ def test_worker_determinism():
     assert [record.to_json() for record in sequential] == [record.to_json() for record in parallel]
 
 
+# the search bounds of the benchmark and CI, where the largest buckets have three members
+CI_BOUNDS = dict(order_max=50000, torus_max=3000, cable_max=3000, kplus_max=300, tangle_max=100)
+
+
+@pytest.fixture(scope="module", params=[1, 2], ids=["workers1", "workers2"])
+def ci_records(request):
+    return find_coincidences(SearchConfig(**CI_BOUNDS, workers=request.param))
+
+
+def test_ci_bound_three_member_records(ci_records):
+    # a three-member bucket is the only one whose list grows past the first collision
+    triples = [json.loads(r.to_json()) for r in ci_records if r.multiplicity >= 3]
+    member = lambda family, params, raw_q: {"family": family, "params": params, "raw_q": raw_q}
+    assert triples == [
+        {"slope": "13/1", "lens": {"p": 13, "q_canonical": 3}, "certified_multiplicity": 2,
+         "members": [member("kplus", [1, 3], 3), member("torus", [2, 7], 10), member("torus", [3, 4], 3)]},
+        {"slope": "21/1", "lens": {"p": 21, "q_canonical": 4}, "certified_multiplicity": 2,
+         "members": [member("kplus", [1, 4], 4), member("torus", [2, 11], 16), member("torus", [4, 5], 4)]},
+    ]
+
+
+def test_no_ci_bound_record_holds_two_cables(ci_records):
+    # the satellite lemma: the two knots of a pair are never both satellites
+    assert len(ci_records) == 568
+    assert not [r for r in ci_records if sum(knot.family == "cable" for knot, _ in r.members) >= 2]
+
+
 def test_enumerated_triples_match_lens_surgery():
     config = SearchConfig(order_max=3000, torus_max=60, cable_max=30, kplus_max=40, tangle_max=9,
                           slope_denominators={1, 2, 3})

@@ -86,3 +86,11 @@ configs = st.builds(
 def test_find_coincidences_matches_oracle(config):
     got = [(r.slope, r.lens_class, r.members, r.certified_multiplicity) for r in find_coincidences(config)]
     assert got == oracle_records(config)
+
+
+def test_find_coincidences_matches_oracle_on_a_fixed_config():
+    # reaches the two three-member buckets (13/1 and 21/1) and a third denominator, whatever hypothesis draws
+    config = SearchConfig(order_max=250, torus_max=12, cable_max=16, kplus_max=8, slope_denominators={1, 2, 3})
+    got = [(r.slope, r.lens_class, r.members, r.certified_multiplicity) for r in find_coincidences(config)]
+    assert got == oracle_records(config)
+    assert sorted(len(members) for _, _, members, _ in got)[-2:] == [3, 3]
