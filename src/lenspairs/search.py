@@ -168,8 +168,7 @@ def _shard_records(task) -> list[CoincidenceRecord]:
     shared: dict = {}
     for row in _rows(config, lo, hi):
         m, n, _, _, q, q_inv = row
-        # the unoriented class of L(m, q) is {±q, ±q^-1} mod m; the row brings its own inverse.
-        # Its least member is the smaller of min(q, m - q) and min(q_inv, m - q_inv).
+        # the unoriented class of L(m, q) is {±q, ±q^-1} mod m; the row brings its own inverse
         q %= m
         if q > m - q:
             q = m - q
