@@ -23,12 +23,14 @@ from .lens import homeomorphic, make_lens, oriented_homeomorphic
 from .sequences import IDENTITIES, check_identity
 
 
+# argparse reports an ArgumentTypeError from a type= parser with its message,
+# but any ValueError as "invalid <parser name> value"
 def _parse_slope(text: str) -> SurgerySlope:
     num, _, den = text.partition("/")
     try:
         return SurgerySlope(int(num), int(den) if den else 1)
     except ValueError as exc:
-        raise ValueError(f"malformed slope {text!r}: {exc}") from None
+        raise argparse.ArgumentTypeError(f"malformed slope {text!r}: {exc}") from None
 
 
 def _parse_range(text: str) -> range:
@@ -38,7 +40,7 @@ def _parse_range(text: str) -> range:
             return range(int(lo), int(hi) + 1)
         return range(int(lo), int(lo) + 1)
     except ValueError:
-        raise ValueError(f"malformed range {text!r}, expected 'a..b'") from None
+        raise argparse.ArgumentTypeError(f"malformed range {text!r}, expected 'a..b'") from None
 
 
 def _emit(args, obj: dict | None, text: str) -> None:
@@ -173,9 +175,14 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    text = args.denominators
+    try:
+        denominators = [int(n) for n in text.split(",")]
+    except ValueError:
+        raise ValueError(f"malformed --denominators {text!r}, expected integers separated by commas") from None
     config = search.SearchConfig(
         families=args.families.split(","),
-        slope_denominators=[int(n) for n in args.denominators.split(",")],
+        slope_denominators=denominators,
         workers=args.workers,
         **{name: getattr(args, name) for name in search.SearchConfig.BOUNDS},
     )

@@ -179,23 +179,24 @@ def _coprime_pairs(top, lo, hi, k):
                 yield a, b
 
 
-def _torus_rows(family, slopes, top, lo, hi, dens):
+def _torus_rows(offset, width, slopes, top, lo, hi, dens):
     for n in dens:
         for p, q in _coprime_pairs(top, lo, hi, n):
+            ident = offset + width * (p + width * q)
             for m, raw_q, raw_inv in slopes(n, p, q):
                 if lo <= m < hi:
-                    yield m, n, family, (p, q), raw_q, raw_inv
+                    yield m, n, raw_q, raw_inv, ident
 
 
-def _cable_rows(family, slopes, top, lo, hi, dens):
+def _cable_rows(offset, width, slopes, top, lo, hi, dens):
     for a, b in _coprime_pairs(top, lo, hi, 4):
         for eps in (-1, 1):
             ((m, raw_q, raw_inv),) = slopes(1, a, b, eps)
             if lo <= m < hi:
-                yield m, 1, family, (a, b, eps), raw_q, raw_inv
+                yield m, 1, raw_q, raw_inv, offset + width * (a + width * (b + width * eps))
 
 
-def _kplus_rows(family, slopes, top, lo, hi, dens):
+def _kplus_rows(offset, width, slopes, top, lo, hi, dens):
     for a in range(1, top + 1):
         if 3 * a * a >= hi:  # kplus(a, a) has the least order of all kplus(a, b >= a)
             break
@@ -207,17 +208,17 @@ def _kplus_rows(family, slopes, top, lo, hi, dens):
                 if m >= hi:
                     break
                 if m >= lo:
-                    yield m, 1, family, (a, b), raw_q, raw_inv
+                    yield m, 1, raw_q, raw_inv, offset + width * (a + width * b)
 
 
-def _index_rows(family, slopes, top, lo, hi, dens):
+def _index_rows(offset, width, slopes, top, lo, hi, dens):
     # one parameter n >= 1, and the lens order grows with n
     for n in range(1, top + 1):
         ((m, raw_q, raw_inv),) = slopes(1, n)
         if m >= hi:
             break
         if m >= lo:
-            yield m, 1, family, (n,), raw_q, raw_inv
+            yield m, 1, raw_q, raw_inv, offset + width * n
 
 
 @dataclass(frozen=True)
@@ -231,7 +232,9 @@ class _Family:
     # (den, *params) -> lens slopes ((m, q, q_inv), ...): m/den-surgery gives L(m, q),
     # and q*q_inv = 1 mod m; neither is reduced
     slopes: Callable
-    rows: Callable  # (family, slopes, top, lo, hi, dens) -> the search rows of ``_rows``
+    # (offset, width, slopes, top, lo, hi, dens) -> the search rows of ``_rows``, each
+    # numbering its knot p_1, p_2, ... by ident = offset + p_1*width + p_2*width^2 + ...
+    rows: Callable
     cap: str  # the SearchConfig field that bounds the parameters in ``rows``
     other: Callable = lambda m, n, *params: NotLens("unknown-for-family")  # outcome at other slopes m/n
     genus: Callable = lambda *params: None  # (*params) -> genus, or None where no formula is known
@@ -288,18 +291,42 @@ _TABLE = {
 FAMILIES = tuple(_TABLE)
 
 
+def _ident_width(order_max: int) -> int:
+    # the base of a row's knot number: above every family index, and above
+    # p + 1 for every row parameter p, since a knot whose lens order is at
+    # most order_max has parameters -1 <= p <= order_max + 1
+    return max(len(_TABLE), order_max + 3)
+
+
 def _rows(config, lo: int, hi: int):
-    """Yield (m, n, family, params, q, q_inv) for each knot of each family in
+    """Yield (m, n, q, q_inv, ident) for each knot of each family in
     ``config.families`` up to its ``config`` cap and each lens slope m/n with
     lo <= m < min(hi, ``config.order_max`` + 1), giving L(m, q), with
-    q*q_inv = 1 mod m; neither q nor q_inv is reduced yet.  Rows come in no
-    particular order."""
+    q*q_inv = 1 mod m; neither q nor q_inv is reduced yet.  Every field is a
+    plain int: ``ident`` numbers the knot, with the family's index in
+    ``_TABLE`` as its lowest digit in base ``_ident_width(config.order_max)``
+    and each parameter plus one as the next digits, and ``_knot_of`` reads
+    it back.  Rows come in no particular order."""
     hi = min(hi, config.order_max + 1)
+    width = _ident_width(config.order_max)
     return itertools.chain.from_iterable(
-        entry.rows(family, entry.slopes, getattr(config, entry.cap), lo, hi, config.slope_denominators)
-        for family, entry in _TABLE.items()
+        # the offset holds the family index and the + 1 of every parameter digit
+        entry.rows(index + sum(width ** k for k in range(1, entry.arity + 1)), width, entry.slopes,
+                   getattr(config, entry.cap), lo, hi, config.slope_denominators)
+        for index, (family, entry) in enumerate(_TABLE.items())
         if family in config.families
     )
+
+
+def _knot_of(ident: int, width: int) -> tuple[str, tuple[int, ...]]:
+    """The (family, params) that a row of ``_rows`` numbers by ``ident`` in base ``width``."""
+    ident, index = divmod(ident, width)
+    family = FAMILIES[index]
+    params = []
+    for _ in range(_TABLE[family].arity):
+        ident, digit = divmod(ident, width)
+        params.append(digit - 1)
+    return family, tuple(params)
 
 
 def lens_surgery(knot: KnotDescriptor, slope: SurgerySlope) -> SurgeryResult:

@@ -7,7 +7,9 @@ inverse mod p, and homeomorphic (orientation ignored) when they agree up
 to both sign and inversion.  The predicates decide this with one product
 mod p and no modular inverse; ``canonical_form`` names the class as a
 dictionary key.  The coincidence search keys its buckets on the same class,
-computed from closed-form inverses in ``search._shard_records``.
+packed into one int with the slope and computed from closed-form inverses
+in ``search._shard_records``; it makes a ``LensSpace`` only for a class
+that two knots share.
 """
 
 from __future__ import annotations

@@ -3,15 +3,17 @@
 The candidates are the knots of the configured families together with
 their designated lens slopes m/n up to the order bound; the lens space of
 m/n-surgery has order m.  ``find_coincidences`` splits the range of m into
-shards that share no bucket.  Each shard takes its own candidates as plain
-integer rows from ``knots._rows`` and buckets them by (m, n, unoriented
-lens class).  A class with one member keeps only its row; a list exists
-only for a class that two or more rows share, and only those become knot
-and lens-space objects.  Shards run one at a time in this process, or over a
-pool of ``workers`` processes capped at ``os.cpu_count()``; any worker count
-gives the same records.  Because the artifact cannot always certify
-non-equivalence, every record carries both its raw member count and the
-size of its largest subset of pairwise certified-distinct members.
+shards that share no bucket.  Each shard takes its own candidates as rows
+of plain ints from ``knots._rows``, one of which numbers the knot, and
+buckets them by one int made from (m, n, unoriented lens class).  A class
+with one member keeps only its knot's number; a list exists only for a
+class that two or more rows share, and only those become knot and
+lens-space objects.  So a shard holds almost nothing that the cyclic
+garbage collector tracks.  Shards run one at a time in this process, or
+over a pool of ``workers`` processes capped at ``os.cpu_count()``; any
+worker count gives the same records.  Because the artifact cannot always
+certify non-equivalence, every record carries both its raw member count
+and the size of its largest subset of pairwise certified-distinct members.
 ``enumerate_surgeries`` yields the same candidates as (knot, slope, lens
 space) objects in a fixed deterministic order.
 
@@ -38,6 +40,8 @@ from .knots import (
     SurgerySlope,
     _TABLE,
     _coprime_pairs,
+    _ident_width,
+    _knot_of,
     _rows,
     cable,
     distinct,
@@ -61,6 +65,10 @@ __all__ = [
     "verify_family",
     "verify_no_nonintegral_pairs",
 ]
+
+# the largest slope denominator; the bucket key of ``_shard_records`` holds n as a digit in base _DEN_MAX + 1
+_DEN_MAX = 16
+
 
 @dataclass(frozen=True)
 class SearchConfig:
@@ -87,14 +95,16 @@ class SearchConfig:
         for name in (*self.BOUNDS, "workers"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if not self.slope_denominators <= frozenset(range(1, 17)):
-            raise ValueError("slope denominators must lie in [1, 16]")
+        if not self.slope_denominators <= frozenset(range(1, _DEN_MAX + 1)):
+            raise ValueError(f"slope denominators must lie in [1, {_DEN_MAX}]")
 
 
 def enumerate_surgeries(config: SearchConfig):
     """Yield (knot, slope, lens space) in deterministic (family, params, slope) order."""
+    width = _ident_width(config.order_max)
     rows = _rows(config, 1, config.order_max + 1)
-    for m, n, family, params, q, _ in sorted(rows, key=lambda r: (r[2], r[3], r[1], r[0])):
+    decoded = [(*_knot_of(ident, width), n, m, q) for m, n, q, _, ident in rows]
+    for family, params, n, m, q in sorted(decoded):
         yield KnotDescriptor(family, params), SurgerySlope(m, n), make_lens(m, q)
 
 
@@ -159,15 +169,19 @@ _SHARD_WIDTH = 4096
 def _shard_records(task) -> list[CoincidenceRecord]:
     """The finished records of one shard (config, lo, hi) of lens orders.
 
-    ``first`` maps each bucket key to the first row that ``knots._rows``
-    yields for it, unchanged; a list is made only when a second row arrives,
-    so a class with one member, nearly every class, keeps only its row.
+    ``first`` maps each bucket key, one int made from (m, n, q_min), to the
+    knot number ``ident`` of the first row that ``knots._rows`` yields for
+    it; a list is made only when a second row arrives.  A class with one
+    member, nearly every class, so keeps two ints, which the cyclic garbage
+    collector does not track.  Only the shared classes are decoded into
+    knots, and each member's lens space is read again from the family-table
+    entry that made its row.
     """
     config, lo, hi = task
+    base = _DEN_MAX + 1
     first: dict = {}
     shared: dict = {}
-    for row in _rows(config, lo, hi):
-        m, n, _, _, q, q_inv = row
+    for m, n, q, q_inv, ident in _rows(config, lo, hi):
         # the unoriented class of L(m, q) is {±q, ±q^-1} mod m; the row brings its own inverse
         q %= m
         if q > m - q:
@@ -175,17 +189,23 @@ def _shard_records(task) -> list[CoincidenceRecord]:
         q_inv %= m
         if q_inv > m - q_inv:
             q_inv = m - q_inv
-        key = (m, n, q if q < q_inv else q_inv)
-        other = first.setdefault(key, row)
-        if other is not row:
-            shared.setdefault(key, [other]).append(row)
+        # q_min < m < hi and n < base, so the key names one (m, n, q_min)
+        key = ((q if q < q_inv else q_inv) * hi + m) * base + n
+        other = first.setdefault(key, ident)
+        if other is not ident:  # setdefault hands back this very int only for a new key
+            shared.setdefault(key, [other]).append(ident)
+    width = _ident_width(config.order_max)
     records = []
-    for (m, n, q_min), rows in shared.items():
-        # the rows of a bucket share m and n, so they sort in (family, params) order, the enumeration order
-        members = tuple(
-            (KnotDescriptor(family, params), make_lens(m, q)) for _, _, family, params, q, _ in sorted(rows)
-        )
-        records.append(CoincidenceRecord(SurgerySlope(m, n), (m, q_min), members))
+    for key, idents in shared.items():
+        rest, n = divmod(key, base)
+        q_min, m = divmod(rest, hi)
+        members = []
+        # in (family, params) order, the enumeration order
+        for family, params in sorted(_knot_of(ident, width) for ident in idents):
+            # the lens slope that made the row
+            (q,) = [q for order, q, _ in _TABLE[family].slopes(n, *params) if order == m]
+            members.append((KnotDescriptor(family, params), make_lens(m, q)))
+        records.append(CoincidenceRecord(SurgerySlope(m, n), (m, q_min), tuple(members)))
     return records
 
 

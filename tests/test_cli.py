@@ -288,3 +288,23 @@ def test_closed_stdout_exits_141_without_a_traceback():
     assert proc.wait(timeout=60) == 141
     assert first.startswith(b"PASS torus_cable n=1 ")
     assert err == b""
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["verify", "torus_torus", "--range", "1..3..5"], "argument --range: malformed range '1..3..5', expected 'a..b'"),
+    (["bqf", "scan", "--a-max", "3", "--bc-max", "3", "--n", "5.."], "argument --n: malformed range '5..', expected 'a..b'"),
+    (["surgery", "torus", "2", "3", "--slope", "5/0"],
+     "argument --slope: malformed slope '5/0': slope denominator must be nonzero"),
+])
+def test_parse_errors_keep_their_message(argv, message, capsys):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].endswith(": error: " + message)
+
+
+def test_malformed_denominators_name_the_flag(capsys):
+    assert run(["search", "--denominators", "1,,2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: malformed --denominators '1,,2', expected integers separated by commas\n")

@@ -198,3 +198,53 @@ def test_torus_cable_pair_instances():
         two = lens_surgery(cable(n + 1, 2 * n + 1, 1), slope)
         assert isinstance(one, Lens) and isinstance(two, Lens)
         assert homeomorphic(one.space, two.space)
+
+
+def test_row_ident_names_the_knot_that_made_the_row():
+    # a search row numbers its knot by one int; decoding it must give that knot
+    # back, whose lens surgery at the row's slope is the row's lens space
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    from lenspairs.knots import FAMILIES, KnotDescriptor, _TABLE, _ident_width, _knot_of, _rows
+    from lenspairs.search import SearchConfig
+
+    def pair(low, top):
+        # the rows list each knot once, with its parameters in ascending order; a small first
+        # parameter keeps the enumeration of one lens order short while the second grows large
+        return st.tuples(st.integers(low, 40), st.integers(low, top)).map(sorted).map(tuple).filter(
+            lambda t: gcd(*t) == 1)
+
+    params = {
+        "torus": pair(2, 10 ** 6),
+        "cable": st.tuples(pair(2, 10 ** 5), st.sampled_from((-1, 1))).map(lambda t: (*t[0], t[1])),
+        "kplus": pair(1, 10 ** 4),
+        "tangleHH": st.tuples(st.integers(1, 10 ** 4)),
+        "tangleTH": st.tuples(st.integers(1, 10 ** 4)),
+    }
+
+    @st.composite
+    def rows_case(draw):
+        family = draw(st.sampled_from(FAMILIES))
+        knot = draw(params[family])
+        den = draw(st.integers(1, 16)) if family == "torus" else 1
+        m = draw(st.sampled_from([m for m, _, _ in _TABLE[family].slopes(den, *knot)]))
+        return family, knot, den, m, draw(st.integers(m, 10 ** 12))
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.example(("cable", (2, 3, -1), 1, 23, 23))
+    @hypothesis.example(("cable", (299, 300, -1), 1, 358799, 358799))
+    @hypothesis.example(("torus", (2, 3), 16, 97, 10 ** 12))
+    @hypothesis.given(rows_case())
+    def check(case):
+        family, knot, den, m, order_max = case
+        config = SearchConfig(families={family}, order_max=order_max, slope_denominators={den},
+                              **{_TABLE[family].cap: max(knot)})
+        width = _ident_width(order_max)
+        rows = list(_rows(config, m, m + 1))
+        assert (family, knot) in {_knot_of(ident, width) for *_, ident in rows}
+        for row_m, n, q, q_inv, ident in rows:
+            found = KnotDescriptor(*_knot_of(ident, width))
+            assert (row_m, q * q_inv % m) == (m, 1)
+            assert lens_surgery(found, SurgerySlope(m, n)) == Lens(make_lens(m, q))
+
+    check()

@@ -1,4 +1,6 @@
 import concurrent.futures
+import gc
+import hashlib
 import json
 import os
 import time
@@ -137,10 +139,39 @@ def test_ci_bound_three_member_records(ci_records):
     ]
 
 
+def test_ci_bound_jsonl_bytes(ci_records):
+    # the 568 records at the CI bounds, pinned byte for byte
+    text = "".join(record.to_json() + "\n" for record in ci_records)
+    assert hashlib.sha256(text.encode()).hexdigest() == "4731e0bc6da12506049eea1136611c6f4f3515c2320ee58b93637b01c4f3f9f0"
+
+
+def test_ci_bound_search_leaves_the_cyclic_gc_idle():
+    # a shard keeps plain ints per row, which the collector does not track; a
+    # tuple kept per row made this search run over a thousand generation-0 collections
+    assert gc.isenabled()
+    before = gc.get_stats()[0]["collections"]
+    find_coincidences(SearchConfig(**CI_BOUNDS, workers=1))
+    assert gc.get_stats()[0]["collections"] - before <= 100
+
+
 def test_no_ci_bound_record_holds_two_cables(ci_records):
     # the satellite lemma: the two knots of a pair are never both satellites
     assert len(ci_records) == 568
     assert not [r for r in ci_records if sum(knot.family == "cable" for knot, _ in r.members) >= 2]
+
+
+def test_bucket_keys_keep_slopes_of_one_order_apart():
+    # at order 2911, torus(15,194) at slope 2911/1 and torus(13,14) at 2911/16
+    # give one lens class, but no slope: the int bucket key must keep them apart
+    config = SearchConfig(order_max=3000, torus_max=3000, cable_max=3000, kplus_max=300, tangle_max=100,
+                          slope_denominators={1, 2, 15, 16})
+    buckets = {}
+    for knot, slope, space in enumerate_surgeries(config):
+        buckets.setdefault((slope.m, slope.n, canonical_form(space)), []).append((knot, space))
+    assert len(buckets[2911, 1, (2911, 207)]) == len(buckets[2911, 16, (2911, 207)]) == 1
+    expected = [(SurgerySlope(m, n), lens_class, tuple(members))
+                for (m, n, lens_class), members in sorted(buckets.items()) if len(members) >= 2]
+    assert [(r.slope, r.lens_class, r.members) for r in find_coincidences(config)] == expected
 
 
 def test_enumerated_triples_match_lens_surgery():
