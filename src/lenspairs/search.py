@@ -66,7 +66,8 @@ __all__ = [
     "verify_no_nonintegral_pairs",
 ]
 
-# the largest slope denominator; the bucket key of ``_shard_records`` holds n as a digit in base _DEN_MAX + 1
+# the largest slope denominator: the bucket key of ``_shard_records`` holds n
+# as one digit in base _DEN_MAX + 1
 _DEN_MAX = 16
 
 

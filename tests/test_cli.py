@@ -291,8 +291,10 @@ def test_closed_stdout_exits_141_without_a_traceback():
 
 
 @pytest.mark.parametrize("argv,message", [
-    (["verify", "torus_torus", "--range", "1..3..5"], "argument --range: malformed range '1..3..5', expected 'a..b'"),
-    (["bqf", "scan", "--a-max", "3", "--bc-max", "3", "--n", "5.."], "argument --n: malformed range '5..', expected 'a..b'"),
+    (["verify", "torus_torus", "--range", "1..3..5"],
+     "argument --range: malformed range '1..3..5', expected 'a..b'"),
+    (["bqf", "scan", "--a-max", "3", "--bc-max", "3", "--n", "5.."],
+     "argument --n: malformed range '5..', expected 'a..b'"),
     (["surgery", "torus", "2", "3", "--slope", "5/0"],
      "argument --slope: malformed slope '5/0': slope denominator must be nonzero"),
 ])
@@ -307,4 +309,5 @@ def test_malformed_denominators_name_the_flag(capsys):
     assert run(["search", "--denominators", "1,,2"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: malformed --denominators '1,,2', expected integers separated by commas\n")
+    message = "error: malformed --denominators '1,,2', expected integers separated by commas\n"
+    assert captured.err.startswith(message)

@@ -142,7 +142,8 @@ def test_ci_bound_three_member_records(ci_records):
 def test_ci_bound_jsonl_bytes(ci_records):
     # the 568 records at the CI bounds, pinned byte for byte
     text = "".join(record.to_json() + "\n" for record in ci_records)
-    assert hashlib.sha256(text.encode()).hexdigest() == "4731e0bc6da12506049eea1136611c6f4f3515c2320ee58b93637b01c4f3f9f0"
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "4731e0bc6da12506049eea1136611c6f4f3515c2320ee58b93637b01c4f3f9f0"
 
 
 def test_ci_bound_search_leaves_the_cyclic_gc_idle():

@@ -98,6 +98,7 @@ def test_find_coincidences_matches_oracle_on_a_fixed_config():
 
 def test_find_coincidences_matches_oracle_at_the_largest_denominators():
     # 16 is the largest denominator that the int bucket key of a search shard packs
-    config = SearchConfig(order_max=250, torus_max=12, cable_max=16, kplus_max=8, slope_denominators={1, 2, 15, 16})
+    config = SearchConfig(order_max=250, torus_max=12, cable_max=16, kplus_max=8,
+                          slope_denominators={1, 2, 15, 16})
     got = [(r.slope, r.lens_class, r.members, r.certified_multiplicity) for r in find_coincidences(config)]
     assert got == oracle_records(config)
