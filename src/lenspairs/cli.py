@@ -162,12 +162,23 @@ def _cmd_identities(args) -> int:
     return 0 if failed == 0 else 1
 
 
+def _verify_lines(report):
+    """Each check of a verify report as the line, newline included, that
+    ``json.dumps`` writes for {"family", "n", "passed", "witness"}: inside a
+    dict, json writes a str as ``json.dumps`` of that str, an int by ``repr``
+    and a bool as true or false.  Every check is of the report's family, so
+    its name is encoded once."""
+    family = json.dumps(report.family)
+    for check in report.checks:
+        passed = "true" if check.passed else "false"
+        yield f'{{"family": {family}, "n": {check.n!r}, "passed": {passed}, "witness": {json.dumps(check.witness)}}}\n'
+
+
 def _cmd_verify(args) -> int:
     report = search.verify_family(args.family, args.range)
     if args.jsonl:
-        for check in report.checks:
-            print(json.dumps({"family": check.family, "n": check.n,
-                              "passed": check.passed, "witness": check.witness}))
+        for line in _verify_lines(report):
+            sys.stdout.write(line)
     else:
         for line in report.lines():
             print(line)
@@ -294,8 +305,10 @@ def run(argv=None) -> int:
     if getattr(args, "cmd", None) is None:
         parser.print_usage(sys.stderr)
         return 2
-    if hasattr(sys, "set_int_max_str_digits"):
-        # units and orbit solutions can run to thousands of digits
+    # units, orbit solutions and verify witnesses can run to thousands of digits:
+    # lift the int-to-str digit limit for the command, and restore it after
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
         sys.set_int_max_str_digits(0)
     try:
         return args.cmd(args)
@@ -303,6 +316,9 @@ def run(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         sys.stderr.write(parser.format_usage())
         return 2
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 def main() -> None:

@@ -101,6 +101,16 @@ def tangle_th(n: int) -> KnotDescriptor:
     return KnotDescriptor("tangleTH", (n,))
 
 
+def _reduced_slope(m: int, n: int) -> tuple[int, int]:
+    """The slope m/n in lowest terms with n >= 1."""
+    if n == 0:
+        raise ValueError("slope denominator must be nonzero")
+    if n < 0:
+        m, n = -m, -n
+    g = gcd(m, n)
+    return m // g, n // g
+
+
 @dataclass(frozen=True, order=True)
 class SurgerySlope:
     """A surgery slope m/n, stored reduced with n >= 1."""
@@ -109,13 +119,7 @@ class SurgerySlope:
     n: int = 1
 
     def __post_init__(self):
-        if self.n == 0:
-            raise ValueError("slope denominator must be nonzero")
-        m, n = self.m, self.n
-        if n < 0:
-            m, n = -m, -n
-        g = gcd(m, n)
-        m, n = m // g, n // g
+        m, n = _reduced_slope(self.m, self.n)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "n", n)
 

@@ -6,7 +6,11 @@ orientation-preservingly homeomorphic when the parameters agree or are
 inverse mod p, and homeomorphic (orientation ignored) when they agree up
 to both sign and inversion.  The predicates decide this with one product
 mod p and no modular inverse; ``canonical_form`` names the class as a
-dictionary key.  The coincidence search keys its buckets on the same class,
+dictionary key.  The rules also come as functions of plain ints, which
+``LensSpace``, ``make_lens`` and ``homeomorphic`` apply and which
+``search.verify_family`` calls directly: ``_reduced_q`` validates and
+reduces a parameter, ``_same_class`` compares two, and ``_lens_text``
+writes L(p,q).  The coincidence search keys its buckets on the same class,
 packed into one int with the slope and computed from closed-form inverses
 in ``search._shard_records``; it makes a ``LensSpace`` only for a class
 that two knots share.
@@ -37,6 +41,25 @@ class NotCoprime(ValueError):
     """Lens space parameters must satisfy gcd(p, q) = 1."""
 
 
+def _reduced_q(p: int, q: int) -> int:
+    """q mod p, once the order p >= 1 and gcd(p, q) = 1 are checked; the error names q as given."""
+    if p < 1:
+        raise InvalidOrder(f"order must be >= 1, got {p}")
+    reduced = q % p
+    if gcd(p, reduced) != 1:
+        raise NotCoprime(f"gcd({p}, {q}) != 1")
+    return reduced
+
+
+def _same_class(p: int, q1: int, q2: int) -> bool:
+    """L(p, q1) and L(p, q2), q1 and q2 reduced, are homeomorphic: q2 = ±q1 or q1*q2 = ±1 (mod p)."""
+    return q1 == q2 or q1 + q2 == p or q1 * q2 % p in (1, p - 1)
+
+
+def _lens_text(p: int, q: int) -> str:
+    return f"L({p},{q})"
+
+
 @dataclass(frozen=True, order=True)
 class LensSpace:
     """L(p, q) with q stored reduced mod p; L(1, 0) is the 3-sphere."""
@@ -45,22 +68,16 @@ class LensSpace:
     q: int
 
     def __post_init__(self):
-        if self.p < 1:
-            raise InvalidOrder(f"order must be >= 1, got {self.p}")
-        if not 0 <= self.q < self.p:
+        if _reduced_q(self.p, self.q) != self.q:
             raise ValueError(f"parameter {self.q} is not reduced mod {self.p}")
-        if gcd(self.p, self.q) != 1:
-            raise NotCoprime(f"gcd({self.p}, {self.q}) != 1")
 
     def __str__(self):
-        return f"L({self.p},{self.q})"
+        return _lens_text(self.p, self.q)
 
 
 def make_lens(p: int, q: int) -> LensSpace:
     """Build L(p, q mod p), validating the order and coprimality."""
-    if p < 1:
-        raise InvalidOrder(f"order must be >= 1, got {p}")
-    return LensSpace(p, q % p)
+    return LensSpace(p, _reduced_q(p, q))
 
 
 def reverse_orientation(space: LensSpace) -> LensSpace:
@@ -84,10 +101,7 @@ def homeomorphic(first: LensSpace, second: LensSpace) -> bool:
 
     Same order p and q2 ≡ ±q1 or q1*q2 ≡ ±1 (mod p).
     """
-    if first.p != second.p:
-        return False
-    p, q1, q2 = first.p, first.q, second.q
-    return q1 == q2 or q1 + q2 == p or q1 * q2 % p in (1, p - 1)
+    return first.p == second.p and _same_class(first.p, first.q, second.q)
 
 
 def canonical_form(space: LensSpace) -> tuple[int, int]:

@@ -21,7 +21,12 @@ space) objects in a fixed deterministic order.
 knot pairs sharing a surgery slope and a lens space.  Each construction
 names only its two knots and the slope denominator; the shared slope is
 the one lens slope that the two knots' entries in the family table of
-``knots`` have in common, so no slope formula is stated twice.
+``knots`` have in common, so no slope formula is stated twice.  Past the
+two knots, each instance is checked on plain ints: the lens parameters
+are validated, reduced and compared, and the slope is reduced, by the
+same int rules of ``lens`` and ``knots`` that ``make_lens``,
+``homeomorphic`` and ``SurgerySlope`` apply, so no lens-space or slope
+object is made.
 ``verify_no_nonintegral_pairs`` confirms at desk scale, from the torus
 entry of the same table, that two distinct torus knots never share a lens
 space under a common slope of denominator three or more.
@@ -42,6 +47,7 @@ from .knots import (
     _coprime_pairs,
     _ident_width,
     _knot_of,
+    _reduced_slope,
     _rows,
     cable,
     distinct,
@@ -50,7 +56,7 @@ from .knots import (
     tangle_th,
     torus,
 )
-from .lens import LensSpace, homeomorphic, make_lens
+from .lens import LensSpace, _lens_text, _reduced_q, _same_class, homeomorphic, make_lens
 from .sequences import InvalidIndex, _fib_pair, pair
 
 __all__ = [
@@ -300,7 +306,9 @@ class FamilyReport:
 def verify_family(family: str, n_range) -> FamilyReport:
     """Check every instance n: the two knots share exactly one lens slope
     m/den in the family table, their lens spaces there are homeomorphic,
-    and the two knots are certified distinct."""
+    and the two knots are certified distinct.  The witness writes the
+    slope and the two lens spaces as ``SurgerySlope`` and ``LensSpace``
+    print them."""
     if family not in _VERIFY:
         raise InvalidIndex(f"unknown verification family {family!r}")
     low, den, knots_of = _VERIFY[family]
@@ -312,17 +320,19 @@ def verify_family(family: str, n_range) -> FamilyReport:
     checks = []
     for n in ns:
         first, second = knots_of(n)
-        one = {m: q for m, q, _ in _TABLE[first.family].slopes(den, *first.params)}
-        two = {m: q for m, q, _ in _TABLE[second.family].slopes(den, *second.params)}
-        shared = one.keys() & two.keys()
+        one = _TABLE[first.family].slopes(den, *first.params)
+        two = _TABLE[second.family].slopes(den, *second.params)
+        # a knot's lens slopes of one denominator have distinct orders m
+        shared = [(m, q1, q2) for m, q1, _ in one for order, q2, _ in two if order == m]
         if len(shared) != 1:
             witness = f"{first} & {second} share {len(shared)} lens slopes m/{den}, not one"
             checks.append(FamilyCheck(family, n, False, witness))
             continue
-        (m,) = shared
-        space1, space2 = make_lens(m, one[m]), make_lens(m, two[m])
-        ok = homeomorphic(space1, space2) and distinct(first, second) == "distinct"
-        witness = f"{first} & {second} @ {SurgerySlope(m, den)} -> {space1} ~ {space2}"
+        ((m, q1, q2),) = shared
+        q1, q2 = _reduced_q(m, q1), _reduced_q(m, q2)
+        ok = _same_class(m, q1, q2) and distinct(first, second) == "distinct"
+        slope_m, slope_n = _reduced_slope(m, den)
+        witness = f"{first} & {second} @ {slope_m}/{slope_n} -> {_lens_text(m, q1)} ~ {_lens_text(m, q2)}"
         checks.append(FamilyCheck(family, n, ok, witness))
     return FamilyReport(family, tuple(checks))
 

@@ -1,16 +1,38 @@
 import argparse
+import contextlib
+import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import hypothesis
+import hypothesis.strategies as st
 import pytest
 
-from lenspairs import cli, knots
+from lenspairs import cli, knots, search
 from lenspairs.cli import build_parser, run
-from lenspairs.search import SearchConfig
+from lenspairs.search import FamilyCheck, FamilyReport, SearchConfig
 from lenspairs.sequences import IDENTITIES, fib
+
+HAS_DIGIT_LIMIT = hasattr(sys, "get_int_max_str_digits")
+
+
+@contextlib.contextmanager
+def _int_digits(limit: int):
+    """Set the int-to-str digit limit (0 lifts it) for a block, and restore it after."""
+    if not HAS_DIGIT_LIMIT:  # a Python without the limit converts ints of any length
+        yield
+        return
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(before)
+
 
 # the fixed regression set: (argv, expected exit code)
 REGRESSION_SET = [
@@ -182,7 +204,8 @@ def test_bqf_unit_output(capsys):
     # v has about 4900 digits, past the default limit on converting ints to text
     assert run(["bqf", "unit", "40000564"]) == 0
     u_text, v_text = capsys.readouterr().out.split()
-    u, v = int(u_text.removeprefix("u=")), int(v_text.removeprefix("v="))
+    with _int_digits(0):
+        u, v = int(u_text.removeprefix("u=")), int(v_text.removeprefix("v="))
     assert len(v_text) > 4800
     assert u * u - 10000141 * v * v == 1
 
@@ -311,3 +334,99 @@ def test_malformed_denominators_name_the_flag(capsys):
     assert captured.out == ""
     message = "error: malformed --denominators '1,,2', expected integers separated by commas\n"
     assert captured.err.startswith(message)
+
+
+@pytest.mark.skipif(not HAS_DIGIT_LIMIT, reason="this Python has no int-to-str digit limit")
+@pytest.mark.parametrize("argv,code", [
+    (["homeo", "5", "1", "5", "4"], 0),
+    (["homeo", "5", "10", "5", "2"], 2),  # the command raises
+    (["homeo", "5"], 2),  # argparse rejects the line before the command runs
+])
+def test_run_leaves_the_int_digit_limit_as_it_found_it(argv, code, capsys):
+    for limit in (4300, 5000, 0):
+        with _int_digits(limit):
+            assert run(argv) == code
+            assert sys.get_int_max_str_digits() == limit
+    capsys.readouterr()
+
+
+def test_verify_prints_a_witness_past_the_digit_limit_whole(capsys):
+    # the lens order of instance 10300 has 4306 digits, past the default limit of 4300
+    n = 10300
+    with _int_digits(4300):
+        assert run(["--jsonl", "verify", "torus_torus", "--range", f"{n}..{n}"]) == 0
+    (line,) = capsys.readouterr().out.splitlines()
+    witness = json.loads(line)["witness"]
+    with _int_digits(0):
+        (check,) = search.verify_family("torus_torus", [n]).checks
+        assert witness == check.witness
+    assert max(len(digits) for digits in re.findall(r"[0-9]+", witness)) > 4300
+
+
+def test_coprimality_error_names_the_parameter_as_given(capsys):
+    assert run(["homeo", "5", "10", "5", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: gcd(5, 10) != 1\n")
+
+
+# text that json escapes: quotes, backslashes, control and non-ASCII characters, lone surrogates
+_ESCAPED = ['"', "\\", "\x00", "\n", "\x1f", "\x7f", "\xe9", "\u2028", "\ud800", "\udfff", "\U0001f600"]
+_TEXT = st.text(st.characters(exclude_categories=()) | st.sampled_from(_ESCAPED))
+
+
+@hypothesis.given(
+    family=_TEXT,
+    checks=st.lists(st.tuples(st.integers() | st.integers(10**4300, 10**4400), st.booleans(), _TEXT), max_size=4),
+)
+@hypothesis.example(family="torus_torus", checks=[
+    (10**4400 + 7, True, 'a "quoted" \\ \x00\t\xe9 \ud800 witness'),
+    (-(10**4301), False, "\udfff\U0001f600"),
+])
+def test_verify_lines_are_json_dumps_of_each_check(family, checks):
+    report = FamilyReport(family, tuple(FamilyCheck(family, n, passed, witness) for n, passed, witness in checks))
+    with _int_digits(0):
+        expected = [
+            json.dumps({"family": family, "n": n, "passed": passed, "witness": witness}) + "\n"
+            for n, passed, witness in checks
+        ]
+        assert list(cli._verify_lines(report)) == expected
+
+
+# sha256 of `verify` stdout, plain and --jsonl, at the benchmark's ranges, recorded before
+# instances were checked on plain ints
+VERIFY_DIGESTS = {
+    ("torus_torus", "1..1000"): (
+        "830f2091593b502597f2ca604ab6bec079640828bf4e4ed54d8d80d9d18e5c89",
+        "35c8caf06b04fd8afd41251347e49bc1dd2c5be4c376dda86446f8ca1b22febd",
+    ),
+    ("torus_torus_half", "1..500"): (
+        "3ed15efaa010cb4bdd5f1a6266ac39f150f5ad1ddf953baa26c5572ec343e431",
+        "fa6f4ce20680940dab6dcfaaf616ebb496654c53873d6fd9f574a247e7c8ab99",
+    ),
+    ("torus_cable", "1..10000"): (
+        "3a3c23716059735906e97c41155ee9ded3fcde2097191d70fc28adccce4b6c7d",
+        "77c646c03c02a3306417667b771e2dc5494067d920bb3b3d64fd62d3fc09bc49",
+    ),
+    ("tangle_kplus", "1..2000"): (
+        "39d99f00a5309166c1386295d890f54b0a20f1f4e3aac2e45b3cd2522077428a",
+        "21fa34c5c0421d0ba7a985e67a44aa73a946d9d46424063313638039a22e43f2",
+    ),
+    ("torus_tangle", "1..10000"): (
+        "7e798a6acc975741d6d1746915cb1b138530d829bb7d0d1403db55e322f2cd29",
+        "f584b4853af8c2d47320369c3b36b67f92d9678657c8f12f9ec94180c43360da",
+    ),
+    ("cable_kplus", "3..16"): (
+        "5b8152014e83148301af83781f1d1a209caef46c04bf2a3234c256bb0bfd2a5e",
+        "84009925f6f6b0986dff9317212363414157e75253e98f0f0a3e13f3494466d4",
+    ),
+}
+
+
+@pytest.mark.parametrize("family,span", VERIFY_DIGESTS)
+def test_verify_output_bytes(family, span, capsys):
+    digests = []
+    for argv in (["verify", family, "--range", span], ["--jsonl", "verify", family, "--range", span]):
+        assert run(argv) == 0
+        digests.append(hashlib.sha256(capsys.readouterr().out.encode()).hexdigest())
+    assert tuple(digests) == VERIFY_DIGESTS[family, span]

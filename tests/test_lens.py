@@ -3,6 +3,7 @@ from math import gcd
 
 import pytest
 
+from lenspairs import lens
 from lenspairs.lens import (
     InvalidOrder,
     NotCoprime,
@@ -32,6 +33,11 @@ def test_make_lens():
 def test_make_lens_errors():
     with pytest.raises(NotCoprime):
         make_lens(6, 2)
+    # the message names the parameter as given, not as reduced
+    with pytest.raises(NotCoprime, match=r"^gcd\(5, 10\) != 1$"):
+        make_lens(5, 10)
+    with pytest.raises(NotCoprime, match=r"^gcd\(6, -2\) != 1$"):
+        make_lens(6, -2)
     with pytest.raises(InvalidOrder):
         make_lens(0, 1)
     with pytest.raises(InvalidOrder):
@@ -145,3 +151,12 @@ def test_orientation_reversal_is_unoriented_homeomorphic():
     for _ in range(400):
         space = random_lens(rng, 500)
         assert homeomorphic(space, reverse_orientation(space))
+
+
+def test_same_class_matches_canonical_form_equality():
+    for p in range(1, 121):
+        units = [q for q in range(p) if gcd(p, q) == 1]
+        form = {q: canonical_form(make_lens(p, q)) for q in units}
+        for q1 in units:
+            for q2 in units:
+                assert lens._same_class(p, q1, q2) == (form[q1] == form[q2]), (p, q1, q2)

@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 import gc
 import hashlib
 import json
@@ -9,8 +10,8 @@ import pytest
 
 from lenspairs.cli import run
 from lenspairs.knots import FAMILIES, Lens, SurgerySlope, cable, kplus, lens_surgery, tangle_hh, tangle_th, torus
-from lenspairs.lens import canonical_form, make_lens
-from lenspairs import lens, search
+from lenspairs.lens import InvalidOrder, NotCoprime, canonical_form, make_lens
+from lenspairs import knots, lens, search
 from lenspairs.search import (
     SearchConfig,
     enumerate_surgeries,
@@ -264,6 +265,47 @@ def test_verify_fails_unless_exactly_one_shared_slope(monkeypatch, capsys, knots
     assert [check.witness for check in report.checks] == [witness, witness]
     assert run(["verify", "torus_torus", "--range", "1..2"]) == 1
     assert capsys.readouterr().out.splitlines()[-1] == "torus_torus: 0/2 instances verified"
+
+
+def _tangles_sharing(monkeypatch, m, q1, q2, den):
+    # torus_tangle verifies tangleHH(n) and tangleTH(n) at denominator den, and the two
+    # entries of the table share the one slope m/den, with lens parameters q1 and q2
+    for family, q in (("tangleHH", q1), ("tangleTH", q2)):
+        slopes = lambda den, n, q=q: ((m, q, 0),)
+        monkeypatch.setitem(knots._TABLE, family, dataclasses.replace(knots._TABLE[family], slopes=slopes))
+    monkeypatch.setitem(search._VERIFY, "torus_tangle", (1, den, lambda n: (tangle_hh(n), tangle_th(n))))
+
+
+@pytest.mark.parametrize("m,q1,q2,error", [
+    (64, 3, 4, NotCoprime),
+    (64, 4, 3, NotCoprime),
+    (64, 68, 2, NotCoprime),
+    (0, 1, 1, InvalidOrder),
+    (-7, 1, 2, InvalidOrder),
+])
+def test_verify_raises_what_make_lens_raises(monkeypatch, capsys, m, q1, q2, error):
+    _tangles_sharing(monkeypatch, m, q1, q2, 1)
+    with pytest.raises(error) as expected:
+        make_lens(m, q1)
+        make_lens(m, q2)
+    with pytest.raises(error) as raised:
+        verify_family("torus_tangle", range(1, 3))
+    assert type(raised.value) is type(expected.value)
+    assert str(raised.value) == str(expected.value)
+    assert run(["verify", "torus_tangle", "--range", "1..2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {expected.value}\n")
+
+
+def test_verify_witness_writes_the_slope_and_spaces_as_their_objects_do(monkeypatch):
+    # 10/2 reduces to 5/1, and 13 reduces to 3 mod 10
+    _tangles_sharing(monkeypatch, 10, 13, 7, 2)
+    (check,) = verify_family("torus_tangle", [1]).checks
+    knots_text = f"{tangle_hh(1)} & {tangle_th(1)}"
+    assert check.witness == f"{knots_text} @ {SurgerySlope(10, 2)} -> {make_lens(10, 13)} ~ {make_lens(10, 7)}"
+    assert check.witness == f"{knots_text} @ 5/1 -> L(10,3) ~ L(10,7)"
+    assert not check.passed  # the two tangle knots are not certified distinct
 
 
 def test_verify_family_lines_format():
