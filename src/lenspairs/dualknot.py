@@ -19,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
+from .lens import _reduced_q
+
 __all__ = [
     "BasicSequenceStats",
     "DualKnotTriple",
@@ -39,7 +41,8 @@ class DualKnotTriple:
     def __post_init__(self):
         if self.p < 2:
             raise ValueError(f"order must be >= 2, got {self.p}")
-        if not 1 <= self.q < self.p or gcd(self.p, self.q) != 1:
+        # the lens rule: for p >= 2 a coprime reduced q lies in [1, p)
+        if _reduced_q(self.p, self.q) != self.q:
             raise ValueError(f"parameter {self.q} invalid mod {self.p}")
         if not 1 <= self.k < self.p:
             raise ValueError(f"core parameter {self.k} must lie in [1, {self.p})")

@@ -21,7 +21,10 @@ Five families are modelled, each by a small tuple of positive integers:
 search and the command line.  Adding a family means adding one entry and
 one constructor; a family whose ``cap`` is new also needs that one
 ``SearchConfig`` field, and the command line derives its ``--*-max`` flag
-from the field.
+from the field.  Only this module reads an entry's lens slopes: one knot's
+through ``lens_surgery`` and ``natural_slope``, the search's rows through
+``_rows``, and the slopes two knots share at one denominator, with both
+parameters validated and reduced, through ``_shared_lens_slopes``.
 
 Only right-handed representatives and positive slopes are modelled; mirror
 images are out of scope.
@@ -35,7 +38,7 @@ from dataclasses import dataclass
 from math import gcd, isqrt
 
 from .dualknot import _KPLUS_RULE, _kplus_pqk, _kplus_valid, kplus_is_hyperbolic
-from .lens import LensSpace, make_lens
+from .lens import LensSpace, _reduced_q, make_lens
 
 __all__ = [
     "FAMILIES",
@@ -331,6 +334,17 @@ def _knot_of(ident: int, width: int) -> tuple[str, tuple[int, ...]]:
         ident, digit = divmod(ident, width)
         params.append(digit - 1)
     return family, tuple(params)
+
+
+def _shared_lens_slopes(first: KnotDescriptor, second: KnotDescriptor, den: int) -> list:
+    """(m, q1, q2) for each lens slope m/den of both knots, where the first
+    knot gives L(m, q1) and the second L(m, q2); ``lens._reduced_q``
+    validates and reduces both parameters, so q1 and q2 are as a
+    ``LensSpace`` stores them.  The slopes come in the first knot's order."""
+    one = _TABLE[first.family].slopes(den, *first.params)
+    two = _TABLE[second.family].slopes(den, *second.params)
+    # a knot's lens slopes of one denominator have distinct orders m
+    return [(m, _reduced_q(m, q1), _reduced_q(m, q2)) for m, q1, _ in one for order, q2, _ in two if order == m]
 
 
 def lens_surgery(knot: KnotDescriptor, slope: SurgerySlope) -> SurgeryResult:

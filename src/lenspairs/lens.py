@@ -7,13 +7,16 @@ inverse mod p, and homeomorphic (orientation ignored) when they agree up
 to both sign and inversion.  The predicates decide this with one product
 mod p and no modular inverse; ``canonical_form`` names the class as a
 dictionary key.  The rules also come as functions of plain ints, which
-``LensSpace``, ``make_lens`` and ``homeomorphic`` apply and which
-``search.verify_family`` calls directly: ``_reduced_q`` validates and
-reduces a parameter, ``_same_class`` compares two, and ``_lens_text``
-writes L(p,q).  The coincidence search keys its buckets on the same class,
+``LensSpace``, ``make_lens`` and ``homeomorphic`` apply: ``_reduced_q``
+validates and reduces a parameter, ``_same_class`` compares two, and
+``_lens_text`` writes L(p,q).  They are called directly where no object
+is wanted: ``_reduced_q`` by ``knots._shared_lens_slopes`` and by
+``dualknot.DualKnotTriple``, ``_same_class`` by the two verify checks of
+``search``, and ``_lens_text`` by ``search.verify_family`` and the ``dual``
+command.  The coincidence search keys its buckets on the same class,
 packed into one int with the slope and computed from closed-form inverses
-in ``search._shard_records``; it makes a ``LensSpace`` only for a class
-that two knots share.
+in ``search._shard_records``; it makes a ``LensSpace``, through
+``knots.lens_surgery``, only for a class that two knots share.
 """
 
 from __future__ import annotations

@@ -8,10 +8,11 @@ of plain ints from ``knots._rows``, one of which numbers the knot, and
 buckets them by one int made from (m, n, unoriented lens class).  A class
 with one member keeps only its knot's number; a list exists only for a
 class that two or more rows share, and only those become knot and
-lens-space objects.  So a shard holds almost nothing that the cyclic
-garbage collector tracks.  Shards run one at a time in this process, or
-over a pool of ``workers`` processes capped at ``os.cpu_count()``; any
-worker count gives the same records.  Because the artifact cannot always
+lens-space objects, each member's space its ``knots.lens_surgery`` at the
+record's slope.  So a shard holds almost nothing that the cyclic garbage
+collector tracks.  Shards run one at a time in this process, or over a
+pool of ``workers`` processes capped at ``os.cpu_count()``; any worker
+count gives the same records.  Because the artifact cannot always
 certify non-equivalence, every record carries both its raw member count
 and the size of its largest subset of pairwise certified-distinct members.
 ``enumerate_surgeries`` yields the same candidates as (knot, slope, lens
@@ -19,17 +20,16 @@ space) objects in a fixed deterministic order.
 
 ``verify_family`` checks, instance by instance, the six constructions of
 knot pairs sharing a surgery slope and a lens space.  Each construction
-names only its two knots and the slope denominator; the shared slope is
-the one lens slope that the two knots' entries in the family table of
-``knots`` have in common, so no slope formula is stated twice.  Past the
-two knots, each instance is checked on plain ints: the lens parameters
-are validated, reduced and compared, and the slope is reduced, by the
-same int rules of ``lens`` and ``knots`` that ``make_lens``,
-``homeomorphic`` and ``SurgerySlope`` apply, so no lens-space or slope
-object is made.
-``verify_no_nonintegral_pairs`` confirms at desk scale, from the torus
-entry of the same table, that two distinct torus knots never share a lens
-space under a common slope of denominator three or more.
+names only its two knots and the slope denominator.
+``verify_no_nonintegral_pairs`` confirms at desk scale that two distinct
+torus knots never share a lens space under a common slope of denominator
+three or more.  Both ask one question of two knots, and answer it on plain
+ints: ``knots._shared_lens_slopes`` lists the lens slopes m/den the two
+have in common, read from the family table, with both lens parameters
+validated and reduced, and ``lens._same_class`` compares them.  A verify
+witness reduces its slope by ``knots._reduced_slope``, as ``SurgerySlope``
+does.  No lens-space or slope object is made per check, and this module
+reads no table slope itself.
 """
 
 from __future__ import annotations
@@ -49,14 +49,16 @@ from .knots import (
     _knot_of,
     _reduced_slope,
     _rows,
+    _shared_lens_slopes,
     cable,
     distinct,
     kplus,
+    lens_surgery,
     tangle_hh,
     tangle_th,
     torus,
 )
-from .lens import LensSpace, _lens_text, _reduced_q, _same_class, homeomorphic, make_lens
+from .lens import LensSpace, _lens_text, _same_class, make_lens
 from .sequences import InvalidIndex, _fib_pair, pair
 
 __all__ = [
@@ -181,8 +183,8 @@ def _shard_records(task) -> list[CoincidenceRecord]:
     it; a list is made only when a second row arrives.  A class with one
     member, nearly every class, so keeps two ints, which the cyclic garbage
     collector does not track.  Only the shared classes are decoded into
-    knots, and each member's lens space is read again from the family-table
-    entry that made its row.
+    knots, and each member's lens space is its ``lens_surgery`` at the
+    record's slope.
     """
     config, lo, hi = task
     base = _DEN_MAX + 1
@@ -206,13 +208,14 @@ def _shard_records(task) -> list[CoincidenceRecord]:
     for key, idents in shared.items():
         rest, n = divmod(key, base)
         q_min, m = divmod(rest, hi)
+        # a row's m and n are coprime, so the slope is the one that made the row
+        slope = SurgerySlope(m, n)
         members = []
         # in (family, params) order, the enumeration order
         for family, params in sorted(_knot_of(ident, width) for ident in idents):
-            # the lens slope that made the row
-            (q,) = [q for order, q, _ in _TABLE[family].slopes(n, *params) if order == m]
-            members.append((KnotDescriptor(family, params), make_lens(m, q)))
-        records.append(CoincidenceRecord(SurgerySlope(m, n), (m, q_min), tuple(members)))
+            knot = KnotDescriptor(family, params)
+            members.append((knot, lens_surgery(knot, slope).space))
+        records.append(CoincidenceRecord(slope, (m, q_min), tuple(members)))
     return records
 
 
@@ -263,7 +266,8 @@ def _fibonacci_cable_kplus(n):
 
 
 # Each verified construction: its first n, its slope denominator, and the two
-# knots of instance n.  The shared slope is read off ``knots._TABLE``.
+# knots of instance n.  The shared slope is read off ``knots._TABLE`` by
+# ``knots._shared_lens_slopes``.
 _VERIFY = {
     "torus_torus": (1, 1, _fibonacci_tori),
     "torus_torus_half": (1, 2, _pell_tori),
@@ -320,16 +324,12 @@ def verify_family(family: str, n_range) -> FamilyReport:
     checks = []
     for n in ns:
         first, second = knots_of(n)
-        one = _TABLE[first.family].slopes(den, *first.params)
-        two = _TABLE[second.family].slopes(den, *second.params)
-        # a knot's lens slopes of one denominator have distinct orders m
-        shared = [(m, q1, q2) for m, q1, _ in one for order, q2, _ in two if order == m]
+        shared = _shared_lens_slopes(first, second, den)
         if len(shared) != 1:
             witness = f"{first} & {second} share {len(shared)} lens slopes m/{den}, not one"
             checks.append(FamilyCheck(family, n, False, witness))
             continue
         ((m, q1, q2),) = shared
-        q1, q2 = _reduced_q(m, q1), _reduced_q(m, q2)
         ok = _same_class(m, q1, q2) and distinct(first, second) == "distinct"
         slope_m, slope_n = _reduced_slope(m, den)
         witness = f"{first} & {second} @ {slope_m}/{slope_n} -> {_lens_text(m, q1)} ~ {_lens_text(m, q2)}"
@@ -356,15 +356,14 @@ def verify_no_nonintegral_pairs(p_max: int, n_min: int, n_max: int) -> Nonintegr
     For every pair of coprime parameter pairs (p, q), (r, s) with equal
     products and 2 <= q < p <= p_max, 2 <= s < r < p, and every denominator
     n in [n_min, n_max], the lens spaces of the two torus knots at each of
-    their common lens slopes m/n, read from the torus entry of the family
-    table, are compared; any homeomorphic pair is a violation.
+    their shared lens slopes m/n are compared; any homeomorphic pair is a
+    violation.  Each compared slope counts as checked.
     """
     if n_min < 3:
         raise InvalidIndex("meaningful only for slope denominators >= 3")
     by_product: dict[int, list] = {}
     for q, p in _coprime_pairs(p_max, 1, p_max * p_max, 1):
         by_product.setdefault(p * q, []).append((p, q))
-    torus_slopes = _TABLE["torus"].slopes
     pairs = []
     checked = 0
     violations = []
@@ -373,10 +372,10 @@ def verify_no_nonintegral_pairs(p_max: int, n_min: int, n_max: int) -> Nonintegr
         for (r, s), (p, q) in itertools.combinations(sorted(group), 2):
             # sorted puts the smaller first coordinate first, so r < p
             pairs.append(((p, q), (r, s)))
+            first, second = torus(p, q), torus(r, s)
             for n in range(n_min, n_max + 1):
-                # equal products give the same two slopes, in the same order
-                for (m, q_lens, _), (_, s_lens, _) in zip(torus_slopes(n, p, q), torus_slopes(n, r, s)):
+                for m, q_lens, s_lens in _shared_lens_slopes(first, second, n):
                     checked += 1
-                    if homeomorphic(make_lens(m, q_lens), make_lens(m, s_lens)):
+                    if _same_class(m, q_lens, s_lens):
                         violations.append((p, q, r, s, n, m))
     return NonintegralReport(tuple(pairs), checked, tuple(violations))

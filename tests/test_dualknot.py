@@ -13,6 +13,7 @@ from lenspairs.dualknot import (
     kplus_is_hyperbolic,
 )
 from lenspairs.knots import InvalidKnot, KnotDescriptor
+from lenspairs.lens import NotCoprime
 from lenspairs.sequences import fib
 from oracles import basic_stats_bruteforce, fibonacci_kplus_data
 
@@ -34,6 +35,16 @@ def test_triple_validation():
         DualKnotTriple(10, 3, 0)
     with pytest.raises(ValueError):
         DualKnotTriple(10, 3, 10)
+
+
+def test_triple_checks_its_parameter_by_the_lens_rule():
+    # the coprime-parameter rule and its message are those of make_lens
+    with pytest.raises(NotCoprime, match=r"^gcd\(10, 5\) != 1$"):
+        DualKnotTriple(10, 5, 1)
+    with pytest.raises(ValueError, match="parameter 13 invalid mod 10"):
+        DualKnotTriple(10, 13, 1)
+    with pytest.raises(ValueError, match="order must be >= 2"):
+        DualKnotTriple(1, 0, 0)
 
 
 def test_kplus_dual_values():

@@ -336,7 +336,45 @@ def test_no_nonintegral_pairs():
 
 @pytest.mark.parametrize("p_max", [12, 40, 60])
 def test_no_nonintegral_pairs_match_the_product_grouping(p_max):
-    assert verify_no_nonintegral_pairs(p_max, 3, 8).pairs == torus_pairs_sharing_a_product(p_max)
+    report = verify_no_nonintegral_pairs(p_max, 3, 8)
+    assert report.pairs == torus_pairs_sharing_a_product(p_max)
+    # both lens slopes of each pair at each of the six denominators 3..8;
+    # (60, 3, 8) is the verify benchmark's query
+    assert report.checked == 2 * len(report.pairs) * 6
+    assert report.clean
+
+
+def _plant_torus_parameter(monkeypatch, p, q, den, planted):
+    # torus(p, q) at denominator den gets the lens parameter planted at both its slopes
+    original = knots._TABLE["torus"].slopes
+
+    def slopes(n, *params):
+        found = original(n, *params)
+        if (n, *params) == (den, p, q):
+            return tuple((m, planted.get(m, raw), inv) for m, raw, inv in found)
+        return found
+
+    monkeypatch.setitem(knots._TABLE, "torus", dataclasses.replace(knots._TABLE["torus"], slopes=slopes))
+
+
+def test_no_nonintegral_pairs_reports_a_planted_collision(monkeypatch):
+    # the product-30 pair at n = 3: torus(15,2) gives L(89, 12) and L(91, 12),
+    # and torus(10,3) is made to give the same parameter 12 at both slopes
+    checked = verify_no_nonintegral_pairs(40, 3, 6).checked
+    _plant_torus_parameter(monkeypatch, 10, 3, 3, {89: 12, 91: 12})
+    report = verify_no_nonintegral_pairs(40, 3, 6)
+    assert report.violations == ((15, 2, 10, 3, 3, 89), (15, 2, 10, 3, 3, 91))
+    assert not report.clean
+    assert report.checked == checked
+
+
+def test_no_nonintegral_pairs_raises_what_make_lens_raises(monkeypatch):
+    _plant_torus_parameter(monkeypatch, 10, 3, 3, {91: 7})
+    with pytest.raises(NotCoprime) as expected:
+        make_lens(91, 7)
+    with pytest.raises(NotCoprime) as raised:
+        verify_no_nonintegral_pairs(40, 3, 6)
+    assert str(raised.value) == str(expected.value) == "gcd(91, 7) != 1"
 
 
 def test_no_nonintegral_pairs_smallest_case():
