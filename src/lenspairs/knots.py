@@ -26,6 +26,12 @@ through ``lens_surgery`` and ``natural_slope``, the search's rows through
 ``_rows``, and the slopes two knots share at one denominator, with both
 parameters validated and reduced, through ``_shared_lens_slopes``.
 
+The rules that need no object come as functions of (family, params) ints:
+``_check_knot`` validates a knot, ``_knot_text`` writes it, ``_distinct``
+decides two knots apart and ``_shared_lens_slopes`` finds their common lens
+slopes.  ``KnotDescriptor`` and ``distinct`` apply the first three, and the
+verify checks of ``search`` call all four directly, with no descriptor.
+
 Only right-handed representatives and positive slopes are modelled; mirror
 images are out of scope.
 """
@@ -72,16 +78,10 @@ class KnotDescriptor:
     params: tuple[int, ...]
 
     def __post_init__(self):
-        entry = _TABLE.get(self.family)
-        if entry is None:
-            raise InvalidKnot(f"unknown family {self.family!r}")
-        if len(self.params) != entry.arity:
-            raise InvalidKnot(f"{self.family} takes {entry.arity} parameters, got {len(self.params)}")
-        if not entry.valid(*self.params):
-            raise InvalidKnot(f"{self.family} {entry.rule}, got {self.params}")
+        _check_knot(self.family, self.params)
 
     def __str__(self):
-        return _TABLE[self.family].text.format(*self.params)
+        return _knot_text(self.family, self.params)
 
 
 def torus(p: int, q: int) -> KnotDescriptor:
@@ -336,15 +336,36 @@ def _knot_of(ident: int, width: int) -> tuple[str, tuple[int, ...]]:
     return family, tuple(params)
 
 
-def _shared_lens_slopes(first: KnotDescriptor, second: KnotDescriptor, den: int) -> list:
+def _check_knot(family: str, params: tuple) -> None:
+    """Raise ``InvalidKnot`` unless (family, params) names a knot of ``_TABLE``."""
+    entry = _TABLE.get(family)
+    if entry is None:
+        raise InvalidKnot(f"unknown family {family!r}")
+    if len(params) != entry.arity:
+        raise InvalidKnot(f"{family} takes {entry.arity} parameters, got {len(params)}")
+    if not entry.valid(*params):
+        raise InvalidKnot(f"{family} {entry.rule}, got {params}")
+
+
+def _knot_text(family: str, params: tuple) -> str:
+    return _TABLE[family].text.format(*params)
+
+
+def _shared_lens_slopes(family1: str, params1: tuple, family2: str, params2: tuple, den: int) -> list:
     """(m, q1, q2) for each lens slope m/den of both knots, where the first
     knot gives L(m, q1) and the second L(m, q2); ``lens._reduced_q``
     validates and reduces both parameters, so q1 and q2 are as a
     ``LensSpace`` stores them.  The slopes come in the first knot's order."""
-    one = _TABLE[first.family].slopes(den, *first.params)
-    two = _TABLE[second.family].slopes(den, *second.params)
-    # a knot's lens slopes of one denominator have distinct orders m
-    return [(m, _reduced_q(m, q1), _reduced_q(m, q2)) for m, q1, _ in one for order, q2, _ in two if order == m]
+    one = _TABLE[family1].slopes(den, *params1)
+    two = _TABLE[family2].slopes(den, *params2)
+    shared = []
+    # a knot's lens slopes of one denominator have distinct orders m; a plain
+    # loop, since a comprehension costs one more call per pair of knots
+    for m, q1, _ in one:
+        for order, q2, _ in two:
+            if order == m:
+                shared.append((m, _reduced_q(m, q1), _reduced_q(m, q2)))
+    return shared
 
 
 def lens_surgery(knot: KnotDescriptor, slope: SurgerySlope) -> SurgeryResult:
@@ -377,17 +398,22 @@ def distinct(first: KnotDescriptor, second: KnotDescriptor) -> str:
     with phi >= 2) against a family certified non-hyperbolic.  Anything
     else is reported "unknown", never overclaimed.
     """
-    one, two = _TABLE[first.family], _TABLE[second.family]
+    return _distinct(first.family, first.params, second.family, second.params)
+
+
+def _distinct(family1: str, params1: tuple, family2: str, params2: tuple) -> str:
+    """``distinct`` of the knots (family1, params1) and (family2, params2)."""
+    one, two = _TABLE[family1], _TABLE[family2]
     if one is two:
-        p = first.params
-        same = p == second.params or (one.symmetric and (p[1], p[0], *p[2:]) == second.params)
+        p = params1
+        same = p == params2 or (one.symmetric and (p[1], p[0], *p[2:]) == params2)
         return "equal" if same else "distinct"
     if (one.is_torus and two.not_torus) or (two.is_torus and one.not_torus):
         return "distinct"
-    g1, g2 = genus(first), genus(second)
+    g1, g2 = one.genus(*params1), two.genus(*params2)
     if g1 is not None and g2 is not None and g1 != g2:
         return "distinct"
-    for knot, entry, other in ((first, one, two), (second, two, one)):
-        if other.not_hyperbolic and entry.hyperbolic(*knot.params):
+    for params, entry, other in ((params1, one, two), (params2, two, one)):
+        if other.not_hyperbolic and entry.hyperbolic(*params):
             return "distinct"
     return "unknown"

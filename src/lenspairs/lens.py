@@ -12,10 +12,11 @@ validates and reduces a parameter, ``_same_class`` compares two, and
 ``_lens_text`` writes L(p,q).  They are called directly where no object
 is wanted: ``_reduced_q`` by ``knots._shared_lens_slopes`` and by
 ``dualknot.DualKnotTriple``, ``_same_class`` by the two verify checks of
-``search``, and ``_lens_text`` by ``search.verify_family`` and the ``dual``
-command.  The coincidence search keys its buckets on the same class,
-packed into one int with the slope and computed from closed-form inverses
-in ``search._shard_records``; it makes a ``LensSpace``, through
+``search``, and ``_lens_text`` by ``search.verify_family``, which passes
+the order as the text it wrote once, and by the ``dual`` command.  The
+coincidence search keys its buckets on the same class, packed into one int
+with the slope and computed from closed-form inverses in
+``search._shard_records``; it makes a ``LensSpace``, through
 ``knots.lens_surgery``, only for a class that two knots share.
 """
 
@@ -59,7 +60,8 @@ def _same_class(p: int, q1: int, q2: int) -> bool:
     return q1 == q2 or q1 + q2 == p or q1 * q2 % p in (1, p - 1)
 
 
-def _lens_text(p: int, q: int) -> str:
+def _lens_text(p: int | str, q: int) -> str:
+    # p may come as its decimal text, written once by a caller that reuses it
     return f"L({p},{q})"
 
 

@@ -20,16 +20,21 @@ space) objects in a fixed deterministic order.
 
 ``verify_family`` checks, instance by instance, the six constructions of
 knot pairs sharing a surgery slope and a lens space.  Each construction
-names only its two knots and the slope denominator.
-``verify_no_nonintegral_pairs`` confirms at desk scale that two distinct
-torus knots never share a lens space under a common slope of denominator
-three or more.  Both ask one question of two knots, and answer it on plain
-ints: ``knots._shared_lens_slopes`` lists the lens slopes m/den the two
-have in common, read from the family table, with both lens parameters
-validated and reduced, and ``lens._same_class`` compares them.  A verify
-witness reduces its slope by ``knots._reduced_slope``, as ``SurgerySlope``
-does.  No lens-space or slope object is made per check, and this module
-reads no table slope itself.
+names only its two knots, as (family, params) ints, and the slope
+denominator; one that follows the Fibonacci or Pell numbers takes them
+from ``sequences._walk``, which steps through a run of consecutive n by
+additions.  ``verify_no_nonintegral_pairs`` confirms at desk scale that two
+distinct torus knots never share a lens space under a common slope of
+denominator three or more.  Both ask one question of two knots, and answer
+it on plain ints with the int-level rules of ``knots``: ``_check_knot``
+validates each knot, ``_shared_lens_slopes`` lists the lens slopes m/den
+the two have in common, read from the family table, with both lens
+parameters validated and reduced, ``lens._same_class`` compares them, and
+``_distinct`` certifies the knots apart.  A verify witness writes the knots
+by ``knots._knot_text``, reduces its slope by ``knots._reduced_slope``, as
+``SurgerySlope`` does, and converts m to text once for the slope and both
+lens spaces.  No knot, lens-space or slope object is made per check, and
+this module reads no table slope itself.
 """
 
 from __future__ import annotations
@@ -44,22 +49,20 @@ from .knots import (
     KnotDescriptor,
     SurgerySlope,
     _TABLE,
+    _check_knot,
     _coprime_pairs,
+    _distinct,
     _ident_width,
     _knot_of,
+    _knot_text,
     _reduced_slope,
     _rows,
     _shared_lens_slopes,
-    cable,
     distinct,
-    kplus,
     lens_surgery,
-    tangle_hh,
-    tangle_th,
-    torus,
 )
 from .lens import LensSpace, _lens_text, _same_class, make_lens
-from .sequences import InvalidIndex, _fib_pair, pair
+from .sequences import InvalidIndex, _walk
 
 __all__ = [
     "CoincidenceRecord",
@@ -249,32 +252,39 @@ def find_coincidences(config: SearchConfig) -> list[CoincidenceRecord]:
     return records
 
 
-def _fibonacci_tori(n):
-    cur, nxt = pair("fibonacci", n), pair("fibonacci", n + 1)
-    return torus(nxt.a, cur.b), torus(cur.a, nxt.b)
+def _fibonacci_tori(n, fib):
+    # fib is (F(n), F(n+1)); the knots are torus(a_{n+1}, b_n) and torus(a_n, b_{n+1})
+    # for the pairs (a_n, b_n) = (F(n+2), F(n+1) + F(n+3)) of pair("fibonacci", n)
+    f, f1 = fib
+    f2 = f + f1
+    f3 = f1 + f2
+    return ("torus", (f3, f1 + f3)), ("torus", (f2, f2 + f2 + f3))
 
 
-def _pell_tori(n):
-    cur, nxt = pair("pell", n), pair("pell", n + 1)
-    return torus(cur.a, nxt.b), torus(cur.b, nxt.a)
+def _pell_tori(n, pell):
+    # pell is pair("pell", n) = (a, b), and pair("pell", n + 1) is (a + b, 2a + b)
+    a, b = pell
+    return ("torus", (a, a + a + b)), ("torus", (b, a + b))
 
 
-def _fibonacci_cable_kplus(n):
-    fn, fn1 = _fib_pair(n)
+def _fibonacci_cable_kplus(n, fib):
+    # fib is (F(n), F(n+1))
+    fn, fn1 = fib
     fn2 = fn + fn1
-    return cable(fn, fn2, (-1) ** n), kplus(fn2, fn)
+    return ("cable", (fn, fn2, -1 if n % 2 else 1)), ("kplus", (fn2, fn))
 
 
-# Each verified construction: its first n, its slope denominator, and the two
-# knots of instance n.  The shared slope is read off ``knots._TABLE`` by
-# ``knots._shared_lens_slopes``.
+# Each verified construction: its first n, its slope denominator, the sequence
+# that ``sequences._walk`` walks for it (or None), and the two knots of instance
+# n as (family, params), from n and, for a walked construction, the walk's pair
+# at n.  The shared slope is read off ``knots._TABLE`` by ``knots._shared_lens_slopes``.
 _VERIFY = {
-    "torus_torus": (1, 1, _fibonacci_tori),
-    "torus_torus_half": (1, 2, _pell_tori),
-    "torus_cable": (1, 1, lambda n: (torus(2 * n + 1, 4 * n + 4), cable(n + 1, 2 * n + 1, 1))),
-    "cable_kplus": (3, 1, _fibonacci_cable_kplus),
-    "tangle_kplus": (1, 1, lambda n: (tangle_hh(n), kplus(3 * n + 1, 3 * n + 4))),
-    "torus_tangle": (1, 1, lambda n: (torus(3 * n + 2, 6 * n + 7), tangle_th(n))),
+    "torus_torus": (1, 1, "fibonacci", _fibonacci_tori),
+    "torus_torus_half": (1, 2, "pell", _pell_tori),
+    "torus_cable": (1, 1, None, lambda n: (("torus", (2 * n + 1, 4 * n + 4)), ("cable", (n + 1, 2 * n + 1, 1)))),
+    "cable_kplus": (3, 1, "fibonacci", _fibonacci_cable_kplus),
+    "tangle_kplus": (1, 1, None, lambda n: (("tangleHH", (n,)), ("kplus", (3 * n + 1, 3 * n + 4)))),
+    "torus_tangle": (1, 1, None, lambda n: (("torus", (3 * n + 2, 6 * n + 7)), ("tangleTH", (n,)))),
 }
 
 VERIFY_FAMILIES = tuple(_VERIFY)
@@ -311,28 +321,33 @@ def verify_family(family: str, n_range) -> FamilyReport:
     """Check every instance n: the two knots share exactly one lens slope
     m/den in the family table, their lens spaces there are homeomorphic,
     and the two knots are certified distinct.  The witness writes the
-    slope and the two lens spaces as ``SurgerySlope`` and ``LensSpace``
-    print them."""
+    knots, the slope and the two lens spaces as ``KnotDescriptor``,
+    ``SurgerySlope`` and ``LensSpace`` print them."""
     if family not in _VERIFY:
         raise InvalidIndex(f"unknown verification family {family!r}")
-    low, den, knots_of = _VERIFY[family]
+    low, den, walk, knots_of = _VERIFY[family]
     ns = sorted(set(n_range))
     if not ns:
         raise InvalidIndex("empty index range")
     if ns[0] < low:
         raise InvalidIndex(f"{family} needs n >= {low}, got {ns[0]}")
+    instances = map(knots_of, ns, _walk(walk, ns)) if walk else map(knots_of, ns)
     checks = []
-    for n in ns:
-        first, second = knots_of(n)
-        shared = _shared_lens_slopes(first, second, den)
+    for n, ((family1, params1), (family2, params2)) in zip(ns, instances):
+        _check_knot(family1, params1)
+        _check_knot(family2, params2)
+        shared = _shared_lens_slopes(family1, params1, family2, params2, den)
+        knots = f"{_knot_text(family1, params1)} & {_knot_text(family2, params2)}"
         if len(shared) != 1:
-            witness = f"{first} & {second} share {len(shared)} lens slopes m/{den}, not one"
-            checks.append(FamilyCheck(family, n, False, witness))
+            checks.append(FamilyCheck(family, n, False, f"{knots} share {len(shared)} lens slopes m/{den}, not one"))
             continue
         ((m, q1, q2),) = shared
-        ok = _same_class(m, q1, q2) and distinct(first, second) == "distinct"
+        ok = _same_class(m, q1, q2) and _distinct(family1, params1, family2, params2) == "distinct"
         slope_m, slope_n = _reduced_slope(m, den)
-        witness = f"{first} & {second} @ {slope_m}/{slope_n} -> {_lens_text(m, q1)} ~ {_lens_text(m, q2)}"
+        # m is written once, for the slope when it is the slope's numerator and for both lens spaces
+        text = str(m)
+        slope = text if slope_m == m else slope_m
+        witness = f"{knots} @ {slope}/{slope_n} -> {_lens_text(text, q1)} ~ {_lens_text(text, q2)}"
         checks.append(FamilyCheck(family, n, ok, witness))
     return FamilyReport(family, tuple(checks))
 
@@ -372,9 +387,10 @@ def verify_no_nonintegral_pairs(p_max: int, n_min: int, n_max: int) -> Nonintegr
         for (r, s), (p, q) in itertools.combinations(sorted(group), 2):
             # sorted puts the smaller first coordinate first, so r < p
             pairs.append(((p, q), (r, s)))
-            first, second = torus(p, q), torus(r, s)
+            _check_knot("torus", (p, q))
+            _check_knot("torus", (r, s))
             for n in range(n_min, n_max + 1):
-                for m, q_lens, s_lens in _shared_lens_slopes(first, second, n):
+                for m, q_lens, s_lens in _shared_lens_slopes("torus", (p, q), "torus", (r, s), n):
                     checked += 1
                     if _same_class(m, q_lens, s_lens):
                         violations.append((p, q, r, s, n, m))

@@ -8,6 +8,10 @@ constructions:
 * ``pell``: a_1 = 2, b_1 = 3 with a_{n+1} = a_n + b_n and
   b_{n+1} = a_{n+1} + a_n.  Starts (2, 3), (5, 7), (12, 17), ...
 
+``_walk`` gives the Fibonacci pair (F(n), F(n+1)) or the pell pair at each
+n of a list, one addition step apart while n runs consecutively, for the
+verified constructions of ``search``.
+
 ``check_identity`` evaluates both sides of the closed-form identities these
 sequences satisfy and reports equality, exactly and with no tolerance; the
 checks return booleans instead of asserting so that callers can aggregate
@@ -83,6 +87,28 @@ def pair(family: str, n: int) -> SequencePair:
                 x, y = x + 2 * y, x + y
         return SequencePair(family, n, y, x)
     raise InvalidIndex(f"unknown family {family!r}")
+
+
+def _walk(family: str, ns):
+    """For each n of ns in turn, the pair of ``family`` at n as two ints:
+    ``_fib_pair(n)``, that is (F(n), F(n+1)), for "fibonacci", and (a_n,
+    b_n) of ``pair("pell", n)`` for "pell".  While each n is one more than
+    the last, the pair steps by additions; any other n restarts the walk
+    from ``_fib_pair`` or ``pair``."""
+    last = None
+    for n in ns:
+        if n - 1 != last:
+            if family == "fibonacci":
+                a, b = _fib_pair(n)
+            else:
+                start = pair(family, n)
+                a, b = start.a, start.b
+        elif family == "fibonacci":
+            a, b = b, a + b
+        else:
+            a, b = a + b, a + a + b
+        last = n
+        yield a, b
 
 
 def check_identity(name: str, n: int) -> bool:

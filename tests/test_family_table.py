@@ -1,7 +1,8 @@
 """The family table of lenspairs.knots against the per-family if-chains it
 replaced (``tests/oracles.py``), on every small knot of all five families,
 the closed-form inverses of its lens parameters against ``pow``, and the
-verified constructions against the paper's slope formulas."""
+verified constructions against the paper's slope formulas and against a
+report built instance by instance from the public objects."""
 
 from math import gcd
 
@@ -21,7 +22,8 @@ from lenspairs.knots import (
     tangle_th,
     torus,
 )
-from lenspairs.search import VERIFY_FAMILIES, verify_family
+from lenspairs.lens import homeomorphic
+from lenspairs.search import VERIFY_FAMILIES, FamilyCheck, FamilyReport, verify_family
 
 DENOMINATORS = (1, 2, 3)
 
@@ -114,3 +116,28 @@ def test_verify_pairs_share_exactly_one_lens_slope():
             first, second, slope = oracles.family_pair(family, n)
             ms = [{m for m, *_ in _TABLE[knot.family].slopes(slope.n, *knot.params)} for knot in (first, second)]
             assert ms[0] & ms[1] == {slope.m}, (family, n)
+
+
+def _oracle_report(family, ns):
+    # each instance from the paper's formulas, evaluated on KnotDescriptor,
+    # SurgerySlope and LensSpace objects by the oracle's if-chains
+    checks = []
+    for n in sorted(set(ns)):
+        first, second, slope = oracles.family_pair(family, n)
+        one = oracles.lens_surgery(first, slope).space
+        two = oracles.lens_surgery(second, slope).space
+        passed = homeomorphic(one, two) and oracles.distinct(first, second) == "distinct"
+        checks.append(FamilyCheck(family, n, passed, f"{first} & {second} @ {slope} -> {one} ~ {two}"))
+    return FamilyReport(family, tuple(checks))
+
+
+@pytest.mark.parametrize("family", VERIFY_FAMILIES)
+def test_verify_family_matches_the_oracle_report(family):
+    # every n below 2000 (cable_kplus to 300, where each instance runs a phi scan),
+    # then an unsorted list with a duplicate and gaps, so that the walk restarts
+    ns = range(_first_n(family), 301 if family == "cable_kplus" else 2000)
+    report = verify_family(family, ns)
+    assert report.passed
+    assert report == _oracle_report(family, ns)
+    gapped = [7, 3, 3, 100, 101, 102, 500]
+    assert verify_family(family, gapped) == _oracle_report(family, gapped)

@@ -9,7 +9,19 @@ import time
 import pytest
 
 from lenspairs.cli import run
-from lenspairs.knots import FAMILIES, Lens, SurgerySlope, cable, kplus, lens_surgery, tangle_hh, tangle_th, torus
+from lenspairs.knots import (
+    FAMILIES,
+    InvalidKnot,
+    KnotDescriptor,
+    Lens,
+    SurgerySlope,
+    cable,
+    kplus,
+    lens_surgery,
+    tangle_hh,
+    tangle_th,
+    torus,
+)
 from lenspairs.lens import InvalidOrder, NotCoprime, canonical_form, make_lens
 from lenspairs import knots, lens, search
 from lenspairs.search import (
@@ -257,7 +269,8 @@ def test_verify_family_takes_no_modular_inverse(monkeypatch):
 
 @pytest.mark.parametrize("knots,shared", [((torus(2, 3), torus(2, 5)), 0), ((torus(2, 3), torus(2, 3)), 2)])
 def test_verify_fails_unless_exactly_one_shared_slope(monkeypatch, capsys, knots, shared):
-    monkeypatch.setitem(search._VERIFY, "torus_torus", (1, 1, lambda n: knots))
+    instance = tuple((knot.family, knot.params) for knot in knots)
+    monkeypatch.setitem(search._VERIFY, "torus_torus", (1, 1, None, lambda n: instance))
     report = verify_family("torus_torus", range(1, 3))
     assert not report.passed
     assert [check.passed for check in report.checks] == [False, False]
@@ -267,13 +280,48 @@ def test_verify_fails_unless_exactly_one_shared_slope(monkeypatch, capsys, knots
     assert capsys.readouterr().out.splitlines()[-1] == "torus_torus: 0/2 instances verified"
 
 
+@pytest.mark.parametrize("instance,culprit", [
+    ((("torus", (4, 6)), ("torus", (2, 3))), 0),
+    ((("torus", (2, 3)), ("cable", (2, 3, 0))), 1),
+    ((("torus", (4, 6)), ("cable", (2, 3, 0))), 0),  # the first knot is checked first
+    ((("torus", (2, 3, 5)), ("torus", (2, 3))), 0),
+    ((("torus", (2, 3)), ("moebius", (1,))), 1),
+])
+def test_verify_raises_what_a_knot_descriptor_raises(monkeypatch, capsys, instance, culprit):
+    monkeypatch.setitem(search._VERIFY, "torus_torus", (1, 1, None, lambda n: instance))
+    with pytest.raises(InvalidKnot) as expected:
+        KnotDescriptor(*instance[culprit])
+    with pytest.raises(InvalidKnot) as raised:
+        verify_family("torus_torus", range(1, 3))
+    assert str(raised.value) == str(expected.value)
+    assert run(["verify", "torus_torus", "--range", "1..2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {expected.value}\n")
+
+
+def test_verify_builds_no_knot_descriptor(monkeypatch):
+    built = []
+    check = KnotDescriptor.__post_init__
+
+    def counted(self):
+        built.append(self)
+        check(self)
+
+    monkeypatch.setattr(KnotDescriptor, "__post_init__", counted)
+    assert torus(2, 3) == built.pop()  # the counter sees a construction
+    assert verify_family("torus_cable", range(1, 200)).passed
+    assert verify_no_nonintegral_pairs(40, 3, 6).clean
+    assert built == []
+
+
 def _tangles_sharing(monkeypatch, m, q1, q2, den):
     # torus_tangle verifies tangleHH(n) and tangleTH(n) at denominator den, and the two
     # entries of the table share the one slope m/den, with lens parameters q1 and q2
     for family, q in (("tangleHH", q1), ("tangleTH", q2)):
         slopes = lambda den, n, q=q: ((m, q, 0),)
         monkeypatch.setitem(knots._TABLE, family, dataclasses.replace(knots._TABLE[family], slopes=slopes))
-    monkeypatch.setitem(search._VERIFY, "torus_tangle", (1, den, lambda n: (tangle_hh(n), tangle_th(n))))
+    monkeypatch.setitem(search._VERIFY, "torus_tangle", (1, den, None, lambda n: (("tangleHH", (n,)), ("tangleTH", (n,)))))
 
 
 @pytest.mark.parametrize("m,q1,q2,error", [

@@ -2,7 +2,7 @@ from math import gcd
 
 import pytest
 
-from lenspairs.sequences import IDENTITIES, InvalidIndex, check_identity, fib, pair
+from lenspairs.sequences import IDENTITIES, InvalidIndex, _fib_pair, _walk, check_identity, fib, pair
 from oracles import fib_loop, pell_loop
 
 
@@ -34,6 +34,22 @@ def test_fibonacci_pair_matches_loop():
     for n in range(1, 1000):
         cur = pair("fibonacci", n)
         assert (cur.a, cur.b) == (fibs[n + 2], fibs[n + 3] + fibs[n + 1])
+
+
+@pytest.mark.parametrize("ns", [range(1, 3001), [1, 2, 3, 7, 8, 50, 50, 49, 51, 2000, 2001, 5]])
+def test_walk_matches_pair_and_fib_pair(ns):
+    # the walk steps while n follows the last n, and restarts at a gap, a repeat or a step back
+    for n, (f, f1), (a, b) in zip(ns, _walk("fibonacci", ns), _walk("pell", ns), strict=True):
+        assert (f, f1) == _fib_pair(n)
+        # a_n = F(n+2) = f + f1 and b_n = F(n+1) + F(n+3) = f1 + (f + 2 f1)
+        assert (f + f1, f + 3 * f1) == (pair("fibonacci", n).a, pair("fibonacci", n).b)
+        assert (a, b) == (pair("pell", n).a, pair("pell", n).b)
+
+
+def test_walk_starts_where_its_sequence_does():
+    assert list(_walk("fibonacci", [0, 1, 2])) == [(0, 1), (1, 1), (1, 2)]
+    with pytest.raises(InvalidIndex):
+        list(_walk("pell", [0]))
 
 
 def test_pair_values():
