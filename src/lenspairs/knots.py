@@ -26,6 +26,14 @@ through ``lens_surgery`` and ``natural_slope``, the search's rows through
 ``_rows``, and the slopes two knots share at one denominator, with both
 parameters validated and reduced, through ``_shared_lens_slopes``.
 
+A search row is two ints.  Its bucket key, which ``_key`` packs and
+``_key_parts`` reads back, holds the slope m/n and q_min, the least
+parameter of the unoriented class of the lens space; its ``ident``, which
+``_knot_of`` reads back, numbers the knot.  Torus and cable rows come from
+one generator, ``_product_rows``, which finds q_min in closed form with one
+``divmod`` per knot; the kplus and tangle rows take ``lens._class_min`` of
+the parameter and its inverse.  So the search only buckets.
+
 The rules that need no object come as functions of (family, params) ints:
 ``_check_knot`` validates a knot, ``_knot_text`` writes it, ``_distinct``
 decides two knots apart and ``_shared_lens_slopes`` finds their common lens
@@ -44,7 +52,7 @@ from dataclasses import dataclass
 from math import gcd, isqrt
 
 from .dualknot import _KPLUS_RULE, _kplus_pqk, _kplus_valid, kplus_is_hyperbolic
-from .lens import LensSpace, _reduced_q, make_lens
+from .lens import LensSpace, _class_min, _reduced_q, make_lens
 
 __all__ = [
     "FAMILIES",
@@ -165,14 +173,28 @@ def _integral(formula):
 
 
 def _torus_slopes(den, p, q):
-    # L(m, den*q^2) at m = den*p*q -+ 1; (den*q^2)(den*p^2) = (den*p*q)^2 = 1 mod m
-    pq, q2, p2 = den * p * q, den * q * q, den * p * p
-    return (pq - 1, q2, p2), (pq + 1, q2, p2)
+    # L(m, den*q^2) at m = den*p*q -+ 1
+    pq, q2 = den * p * q, den * q * q
+    return (pq - 1, q2), (pq + 1, q2)
 
 
-def _inverted(m, q):
-    # a lens slope whose parameter has no closed-form inverse here
-    return m, q, pow(q, -1, m)
+# The bucket key of a search row is one int made from (m, n, q_min): the
+# slope m/n and the least parameter q_min < m of the unoriented class of
+# L(m, q).  ``_key`` packs it in base ``_ident_width(order_max)`` > m, the
+# bound that ``_key_parts`` decodes it with, and n in base _DEN_MAX + 1,
+# since _DEN_MAX is the largest slope denominator that a search takes.
+_DEN_MAX = 16
+
+
+def _key(m: int, n: int, q_min: int, width: int) -> int:
+    return (q_min * width + m) * (_DEN_MAX + 1) + n
+
+
+def _key_parts(key: int, width: int) -> tuple[int, int, int]:
+    """The (m, n, q_min) that ``_key`` packed into ``key`` in base ``width``."""
+    rest, n = divmod(key, _DEN_MAX + 1)
+    q_min, m = divmod(rest, width)
+    return m, n, q_min
 
 
 def _coprime_pairs(top, lo, hi, k):
@@ -186,21 +208,51 @@ def _coprime_pairs(top, lo, hi, k):
                 yield a, b
 
 
+def _product_rows(offset, width, sign, top, lo, hi, products):
+    """The rows of the knots with parameters coprime 2 <= a < b <= top whose
+    lens slopes are m/den at m = k*a*b + eps, eps = -1 and +1, giving
+    L(m, k*b^2), for each (k, den) of ``products``: the torus knot (a, b) at
+    k = den, and the cable (a, b, eps) at k = 4, den = 1.  A torus knot has
+    one ident for both slopes (``sign`` 0); a cable's differs by eps*``sign``.
+
+    The class minimum comes in closed form.  x = k*a^2 inverts k*b^2 mod m,
+    as their product is (k*a*b)^2 = (m - eps)^2, and x < m.  With b = t*a + r,
+    1 <= r < a, k*b^2 = t*(m - eps) + k*b*r, which is z = y - t*eps mod m for
+    y = k*b*r, and 1 <= t < b/2 puts z in (0, m).  So q_min is the least of
+    x, m - x, z and m - z.  ``_coprime_pairs`` already keeps k*a*b - 1 < hi
+    and lo <= k*a*b + 1, so each slope checks one end of the range; the two
+    are written out, as a loop over eps costs a tuple walk per pair.
+    """
+    base = _DEN_MAX + 1
+    scale = width * base  # ``_key`` is q_min*scale + m*base + n
+    for k, den in products:
+        for a, b in _coprime_pairs(top, lo, hi, k):
+            ident = offset + width * (a + width * b)
+            kab = k * a * b
+            x = k * a * a
+            t, r = divmod(b, a)
+            y = k * b * r
+            m = kab - 1
+            if m >= lo:
+                z = y + t
+                u = x if x + x < m else m - x
+                v = z if z + z < m else m - z
+                yield (u if u < v else v) * scale + m * base + den, ident - sign
+            m = kab + 1
+            if m < hi:
+                z = y - t
+                u = x if x + x < m else m - x
+                v = z if z + z < m else m - z
+                yield (u if u < v else v) * scale + m * base + den, ident + sign
+
+
 def _torus_rows(offset, width, slopes, top, lo, hi, dens):
-    for n in dens:
-        for p, q in _coprime_pairs(top, lo, hi, n):
-            ident = offset + width * (p + width * q)
-            for m, raw_q, raw_inv in slopes(n, p, q):
-                if lo <= m < hi:
-                    yield m, n, raw_q, raw_inv, ident
+    return _product_rows(offset, width, 0, top, lo, hi, [(n, n) for n in dens])
 
 
 def _cable_rows(offset, width, slopes, top, lo, hi, dens):
-    for a, b in _coprime_pairs(top, lo, hi, 4):
-        for eps in (-1, 1):
-            ((m, raw_q, raw_inv),) = slopes(1, a, b, eps)
-            if lo <= m < hi:
-                yield m, 1, raw_q, raw_inv, offset + width * (a + width * (b + width * eps))
+    # eps is the third parameter, so its digit eps + 1 carries weight width^3
+    return _product_rows(offset, width, width ** 3, top, lo, hi, [(4, 1)])
 
 
 def _kplus_rows(offset, width, slopes, top, lo, hi, dens):
@@ -211,21 +263,22 @@ def _kplus_rows(offset, width, slopes, top, lo, hi, dens):
         start = max(a, (isqrt(max(0, 4 * lo - 3 * a * a)) - a) // 2)
         for b in range(start, top + 1):
             if gcd(a, b) == 1:
-                ((m, raw_q, raw_inv),) = slopes(1, a, b)
+                # L(m, w^2) with core parameter k = -w: w^3 = -1 mod m, so k inverts q
+                m, q, k = _kplus_pqk(a, b)
                 if m >= hi:
                     break
                 if m >= lo:
-                    yield m, 1, raw_q, raw_inv, offset + width * (a + width * b)
+                    yield _key(m, 1, _class_min(m, q, k), width), offset + width * (a + width * b)
 
 
 def _index_rows(offset, width, slopes, top, lo, hi, dens):
     # one parameter n >= 1, and the lens order grows with n
     for n in range(1, top + 1):
-        ((m, raw_q, raw_inv),) = slopes(1, n)
+        ((m, q),) = slopes(1, n)
         if m >= hi:
             break
         if m >= lo:
-            yield m, 1, raw_q, raw_inv, offset + width * n
+            yield _key(m, 1, _class_min(m, q, pow(q, -1, m)), width), offset + width * n
 
 
 @dataclass(frozen=True)
@@ -236,11 +289,10 @@ class _Family:
     text: str  # format template of str(knot)
     valid: Callable  # (*params) -> True when they name a knot of the family
     rule: str  # what ``valid`` asks of the parameters
-    # (den, *params) -> lens slopes ((m, q, q_inv), ...): m/den-surgery gives L(m, q),
-    # and q*q_inv = 1 mod m; neither is reduced
+    # (den, *params) -> lens slopes ((m, q), ...): m/den-surgery gives L(m, q), q not reduced
     slopes: Callable
-    # (offset, width, slopes, top, lo, hi, dens) -> the search rows of ``_rows``, each
-    # numbering its knot p_1, p_2, ... by ident = offset + p_1*width + p_2*width^2 + ...
+    # (offset, width, slopes, top, lo, hi, dens) -> the search rows (key, ident) of ``_rows``,
+    # each numbering its knot p_1, p_2, ... by ident = offset + p_1*width + p_2*width^2 + ...
     rows: Callable
     cap: str  # the SearchConfig field that bounds the parameters in ``rows``
     other: Callable = lambda m, n, *params: NotLens("unknown-for-family")  # outcome at other slopes m/n
@@ -266,8 +318,7 @@ _TABLE = {
         arity=3, text="cable({},{},{:+d})", rows=_cable_rows, cap="cable_max",
         valid=lambda a, b, eps: a >= 2 and b >= 2 and gcd(a, b) == 1 and eps in (1, -1),
         rule="companion parameters must be coprime and >= 2 and the sign +1 or -1",
-        # (4b^2)(4a^2) = (4ab)^2 = 1 mod m, since 4ab = m - eps
-        slopes=_integral(lambda a, b, eps: (4 * a * b + eps, 4 * b * b, 4 * a * a)),
+        slopes=_integral(lambda a, b, eps: (4 * a * b + eps, 4 * b * b)),
         other=lambda m, n, a, b, eps: _CABLING if (m, n) == (4 * a * b + 2 * eps, 1) else _NO_LENS,
         symmetric=True,
         not_torus=True, not_hyperbolic=True,  # a satellite knot
@@ -275,22 +326,21 @@ _TABLE = {
     "kplus": _Family(
         arity=2, text="kplus({},{})", rows=_kplus_rows, cap="kplus_max",
         valid=_kplus_valid, rule=_KPLUS_RULE,
-        # (p, w^2, -w): w^3 = -1 mod p, so the core parameter k = -w inverts w^2
-        slopes=_integral(_kplus_pqk),
+        slopes=_integral(lambda a, b: _kplus_pqk(a, b)[:2]),
         genus=lambda a, b: ((a + b - 1) ** 2 - a * b) // 2, symmetric=True,
         hyperbolic=kplus_is_hyperbolic,  # phi >= 2
     ),
     "tangleHH": _Family(
         arity=1, text="tangleHH({})", rows=_index_rows, cap="tangle_max",
         valid=lambda n: n >= 1, rule="index must be >= 1",
-        slopes=_integral(lambda n: _inverted(27 * n * n + 45 * n + 21, -(9 * n * n + 12 * n + 5))),
+        slopes=_integral(lambda n: (27 * n * n + 45 * n + 21, -(9 * n * n + 12 * n + 5))),
         genus=lambda n: (27 * n * n + 33 * n + 10) // 2,
         not_torus=True,  # hyperbolic by construction, which no certificate here checks
     ),
     "tangleTH": _Family(
         arity=1, text="tangleTH({})", rows=_index_rows, cap="tangle_max",
         valid=lambda n: n >= 1, rule="index must be >= 1",
-        slopes=_integral(lambda n: _inverted(18 * n * n + 33 * n + 15, -(18 * n + 19))),
+        slopes=_integral(lambda n: (18 * n * n + 33 * n + 15, -(18 * n + 19))),
         not_torus=True,  # hyperbolic by construction, which no certificate here checks
     ),
 }
@@ -306,14 +356,17 @@ def _ident_width(order_max: int) -> int:
 
 
 def _rows(config, lo: int, hi: int):
-    """Yield (m, n, q, q_inv, ident) for each knot of each family in
-    ``config.families`` up to its ``config`` cap and each lens slope m/n with
-    lo <= m < min(hi, ``config.order_max`` + 1), giving L(m, q), with
-    q*q_inv = 1 mod m; neither q nor q_inv is reduced yet.  Every field is a
-    plain int: ``ident`` numbers the knot, with the family's index in
-    ``_TABLE`` as its lowest digit in base ``_ident_width(config.order_max)``
-    and each parameter plus one as the next digits, and ``_knot_of`` reads
-    it back.  Rows come in no particular order."""
+    """Yield (key, ident) for each knot of each family in ``config.families``
+    up to its ``config`` cap and each lens slope m/n with lo <= m <
+    min(hi, ``config.order_max`` + 1), giving L(m, q).  Both are plain ints
+    in base ``width`` = ``_ident_width(config.order_max)``: ``key`` packs
+    (m, n, q_min), q_min the least of ±q and ±q^-1 mod m, which
+    ``_key_parts(key, width)`` reads back, so two rows share a key exactly
+    when they share the slope and the unoriented lens class.  ``ident``
+    numbers the knot, with the family's index in ``_TABLE`` as its lowest
+    digit and each parameter plus one as the next digits, and
+    ``_knot_of(ident, width)`` reads it back.  Rows come in no particular
+    order."""
     hi = min(hi, config.order_max + 1)
     width = _ident_width(config.order_max)
     return itertools.chain.from_iterable(
@@ -361,8 +414,8 @@ def _shared_lens_slopes(family1: str, params1: tuple, family2: str, params2: tup
     shared = []
     # a knot's lens slopes of one denominator have distinct orders m; a plain
     # loop, since a comprehension costs one more call per pair of knots
-    for m, q1, _ in one:
-        for order, q2, _ in two:
+    for m, q1 in one:
+        for order, q2 in two:
             if order == m:
                 shared.append((m, _reduced_q(m, q1), _reduced_q(m, q2)))
     return shared
@@ -372,7 +425,7 @@ def lens_surgery(knot: KnotDescriptor, slope: SurgerySlope) -> SurgeryResult:
     """Evaluate m/n-surgery on the knot into the lens trichotomy."""
     if slope.m <= 0:
         raise ValueError("only positive slopes are modelled")
-    for m, q, _ in _TABLE[knot.family].slopes(slope.n, *knot.params):
+    for m, q in _TABLE[knot.family].slopes(slope.n, *knot.params):
         if m == slope.m:
             return Lens(make_lens(m, q))
     return _TABLE[knot.family].other(slope.m, slope.n, *knot.params)

@@ -7,17 +7,19 @@ inverse mod p, and homeomorphic (orientation ignored) when they agree up
 to both sign and inversion.  The predicates decide this with one product
 mod p and no modular inverse; ``canonical_form`` names the class as a
 dictionary key.  The rules also come as functions of plain ints, which
-``LensSpace``, ``make_lens`` and ``homeomorphic`` apply: ``_reduced_q``
-validates and reduces a parameter, ``_same_class`` compares two, and
-``_lens_text`` writes L(p,q).  They are called directly where no object
-is wanted: ``_reduced_q`` by ``knots._shared_lens_slopes`` and by
-``dualknot.DualKnotTriple``, ``_same_class`` by the two verify checks of
-``search``, and ``_lens_text`` by ``search.verify_family``, which passes
-the order as the text it wrote once, and by the ``dual`` command.  The
+``LensSpace``, ``make_lens``, ``homeomorphic`` and ``canonical_form``
+apply: ``_reduced_q`` validates and reduces a parameter, ``_same_class``
+compares two, ``_class_min`` names the class from a parameter and its
+inverse, and ``_lens_text`` writes L(p,q).  They are called directly where
+no object is wanted: ``_reduced_q`` by ``knots._shared_lens_slopes`` and
+by ``dualknot.DualKnotTriple``, ``_same_class`` by the two verify checks
+of ``search``, and ``_lens_text`` by ``search.verify_family``, which
+passes the order as the text it wrote once, and by the ``dual`` command.  The
 coincidence search keys its buckets on the same class, packed into one int
-with the slope and computed from closed-form inverses in
-``search._shard_records``; it makes a ``LensSpace``, through
-``knots.lens_surgery``, only for a class that two knots share.
+with the slope by ``knots._rows``, which calls ``_class_min`` for the kplus
+and tangle rows and finds the torus and cable minima in closed form; it
+makes a ``LensSpace``, through ``knots.lens_surgery``, only for a class
+that two knots share.
 """
 
 from __future__ import annotations
@@ -58,6 +60,14 @@ def _reduced_q(p: int, q: int) -> int:
 def _same_class(p: int, q1: int, q2: int) -> bool:
     """L(p, q1) and L(p, q2), q1 and q2 reduced, are homeomorphic: q2 = ±q1 or q1*q2 = ±1 (mod p)."""
     return q1 == q2 or q1 + q2 == p or q1 * q2 % p in (1, p - 1)
+
+
+def _class_min(p: int, q: int, q_inv: int) -> int:
+    """The least of ±q and ±q_inv mod p, for q*q_inv = 1 (mod p): the
+    parameter that names the unoriented class of L(p, q)."""
+    q %= p
+    q_inv %= p
+    return min(q, p - q, q_inv, p - q_inv)
 
 
 def _lens_text(p: int | str, q: int) -> str:
@@ -116,5 +126,4 @@ def canonical_form(space: LensSpace) -> tuple[int, int]:
     are equal, so the pair serves as a dictionary key.
     """
     p, q = space.p, space.q
-    inv = pow(q, -1, p)
-    return p, min(q, p - q, inv, p - inv)
+    return p, _class_min(p, q, pow(q, -1, p))

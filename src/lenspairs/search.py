@@ -3,18 +3,20 @@
 The candidates are the knots of the configured families together with
 their designated lens slopes m/n up to the order bound; the lens space of
 m/n-surgery has order m.  ``find_coincidences`` splits the range of m into
-shards that share no bucket.  Each shard takes its own candidates as rows
-of plain ints from ``knots._rows``, one of which numbers the knot, and
-buckets them by one int made from (m, n, unoriented lens class).  A class
-with one member keeps only its knot's number; a list exists only for a
-class that two or more rows share, and only those become knot and
-lens-space objects, each member's space its ``knots.lens_surgery`` at the
-record's slope.  So a shard holds almost nothing that the cyclic garbage
-collector tracks.  Shards run one at a time in this process, or over a
-pool of ``workers`` processes capped at ``os.cpu_count()``; any worker
-count gives the same records.  Because the artifact cannot always
-certify non-equivalence, every record carries both its raw member count
-and the size of its largest subset of pairwise certified-distinct members.
+shards that share no bucket.  Each shard takes its own candidates from
+``knots._rows`` as two plain ints each, a bucket key made from (m, n,
+unoriented lens class) and the number of the knot, and only buckets them:
+``knots`` owns the key, its decoder and the class rule.  A class with one
+member keeps only its knot's number; a list exists only for a class that
+two or more rows share, and only those become knot and lens-space
+objects, each member's space its ``knots.lens_surgery`` at the record's
+slope.  So a shard holds almost nothing that the cyclic garbage collector
+tracks.  Shards run one at a time in this process, or over a pool of
+``workers`` processes capped at ``os.cpu_count()`` and started by the
+platform's default method; any worker count gives the same records.
+Because the artifact cannot always certify non-equivalence, every record
+carries both its raw member count and the size of its largest subset of
+pairwise certified-distinct members.
 ``enumerate_surgeries`` yields the same candidates as (knot, slope, lens
 space) objects in a fixed deterministic order.
 
@@ -48,11 +50,13 @@ from .knots import (
     FAMILIES,
     KnotDescriptor,
     SurgerySlope,
+    _DEN_MAX,
     _TABLE,
     _check_knot,
     _coprime_pairs,
     _distinct,
     _ident_width,
+    _key_parts,
     _knot_of,
     _knot_text,
     _reduced_slope,
@@ -61,7 +65,7 @@ from .knots import (
     distinct,
     lens_surgery,
 )
-from .lens import LensSpace, _lens_text, _same_class, make_lens
+from .lens import LensSpace, _lens_text, _same_class
 from .sequences import InvalidIndex, _walk
 
 __all__ = [
@@ -76,11 +80,6 @@ __all__ = [
     "verify_family",
     "verify_no_nonintegral_pairs",
 ]
-
-# the largest slope denominator: the bucket key of ``_shard_records`` holds n
-# as one digit in base _DEN_MAX + 1
-_DEN_MAX = 16
-
 
 @dataclass(frozen=True)
 class SearchConfig:
@@ -114,10 +113,13 @@ class SearchConfig:
 def enumerate_surgeries(config: SearchConfig):
     """Yield (knot, slope, lens space) in deterministic (family, params, slope) order."""
     width = _ident_width(config.order_max)
-    rows = _rows(config, 1, config.order_max + 1)
-    decoded = [(*_knot_of(ident, width), n, m, q) for m, n, q, _, ident in rows]
-    for family, params, n, m, q in sorted(decoded):
-        yield KnotDescriptor(family, params), SurgerySlope(m, n), make_lens(m, q)
+    decoded = []
+    for key, ident in _rows(config, 1, config.order_max + 1):
+        m, n, _ = _key_parts(key, width)
+        decoded.append((*_knot_of(ident, width), n, m))
+    for family, params, n, m in sorted(decoded):
+        knot, slope = KnotDescriptor(family, params), SurgerySlope(m, n)
+        yield knot, slope, lens_surgery(knot, slope).space
 
 
 def _largest_distinct_subset(members: tuple) -> tuple:
@@ -181,36 +183,25 @@ _SHARD_WIDTH = 4096
 def _shard_records(task) -> list[CoincidenceRecord]:
     """The finished records of one shard (config, lo, hi) of lens orders.
 
-    ``first`` maps each bucket key, one int made from (m, n, q_min), to the
-    knot number ``ident`` of the first row that ``knots._rows`` yields for
-    it; a list is made only when a second row arrives.  A class with one
+    ``first`` maps each bucket key of ``knots._rows``, one int made from
+    (m, n, q_min), to the knot number ``ident`` of the first row with that
+    key; a list is made only when a second row arrives.  A class with one
     member, nearly every class, so keeps two ints, which the cyclic garbage
     collector does not track.  Only the shared classes are decoded into
     knots, and each member's lens space is its ``lens_surgery`` at the
     record's slope.
     """
     config, lo, hi = task
-    base = _DEN_MAX + 1
     first: dict = {}
     shared: dict = {}
-    for m, n, q, q_inv, ident in _rows(config, lo, hi):
-        # the unoriented class of L(m, q) is {±q, ±q^-1} mod m; the row brings its own inverse
-        q %= m
-        if q > m - q:
-            q = m - q
-        q_inv %= m
-        if q_inv > m - q_inv:
-            q_inv = m - q_inv
-        # q_min < m < hi and n < base, so the key names one (m, n, q_min)
-        key = ((q if q < q_inv else q_inv) * hi + m) * base + n
+    for key, ident in _rows(config, lo, hi):
         other = first.setdefault(key, ident)
         if other is not ident:  # setdefault hands back this very int only for a new key
             shared.setdefault(key, [other]).append(ident)
     width = _ident_width(config.order_max)
     records = []
     for key, idents in shared.items():
-        rest, n = divmod(key, base)
-        q_min, m = divmod(rest, hi)
+        m, n, q_min = _key_parts(key, width)
         # a row's m and n are coprime, so the slope is the one that made the row
         slope = SurgerySlope(m, n)
         members = []
@@ -232,9 +223,12 @@ def find_coincidences(config: SearchConfig) -> list[CoincidenceRecord]:
     knot twice.  Pairs whose non-equivalence cannot be certified stay in the
     record and are accounted for by ``certified_multiplicity``.
 
-    Pool workers are spawned interpreters that import the caller's main
-    module, so a script that asks for more than one worker makes the call
-    under ``if __name__ == "__main__":``.
+    The pool starts its workers by the platform's default method.  Forked
+    workers (Linux, through Python 3.13) begin with the caller's modules
+    loaded.  Where the default is spawn (macOS, Windows), each worker is a
+    fresh interpreter that imports the caller's main module, so there a
+    script that asks for more than one worker makes the call under
+    ``if __name__ == "__main__":``.
     """
     width = min(_SHARD_WIDTH, -(-config.order_max // _SHARDS))
     tasks = [(config, lo, lo + width) for lo in range(1, config.order_max + 1, width)]
@@ -242,11 +236,10 @@ def find_coincidences(config: SearchConfig) -> list[CoincidenceRecord]:
     if workers == 1:
         records = [record for task in tasks for record in _shard_records(task)]
     else:
-        # imported here, so that a sequential search or any other query never loads them
-        import multiprocessing
+        # imported here, so that a sequential search or any other query never loads it
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
+        with ProcessPoolExecutor(workers) as pool:
             records = [record for part in pool.map(_shard_records, tasks) for record in part]
     records.sort(key=lambda r: (r.slope.m, r.slope.n, r.lens_class[1]))
     return records

@@ -1,6 +1,6 @@
 """The family table of lenspairs.knots against the per-family if-chains it
 replaced (``tests/oracles.py``), on every small knot of all five families,
-the closed-form inverses of its lens parameters against ``pow``, and the
+the closed-form class minima of the search rows against ``pow``, and the
 verified constructions against the paper's slope formulas and against a
 report built instance by instance from the public objects."""
 
@@ -12,6 +12,10 @@ import oracles
 from lenspairs.knots import (
     SurgerySlope,
     _TABLE,
+    _ident_width,
+    _key_parts,
+    _knot_of,
+    _rows,
     cable,
     distinct,
     genus,
@@ -23,7 +27,7 @@ from lenspairs.knots import (
     torus,
 )
 from lenspairs.lens import homeomorphic
-from lenspairs.search import VERIFY_FAMILIES, FamilyCheck, FamilyReport, verify_family
+from lenspairs.search import VERIFY_FAMILIES, FamilyCheck, FamilyReport, SearchConfig, verify_family
 
 DENOMINATORS = (1, 2, 3)
 
@@ -63,15 +67,45 @@ def test_distinct_matches_rules_on_every_ordered_pair():
             assert distinct(first, second) == oracles.distinct(first, second), (first, second)
 
 
-def _assert_inverses(knot, den):
-    for m, q, q_inv in _TABLE[knot.family].slopes(den, *knot.params):
-        assert q * q_inv % m == 1 and q_inv % m == pow(q, -1, m), (knot, den, m)
+def _class_min_by_pow(m, q):
+    q %= m
+    inv = pow(q, -1, m)
+    return min(q, m - q, inv, m - inv)
 
 
-def test_slopes_carry_the_inverse_of_their_parameter():
-    for knot in KNOTS:
-        for den in DENOMINATORS:
-            _assert_inverses(knot, den)
+def test_product_rows_class_minimum_matches_pow():
+    # every torus row at denominators 1..16 and every cable row, both signs, for coprime 2 <= a < b <= 60
+    top = 60
+    order_max = 16 * top * top + 1
+    width = _ident_width(order_max)
+    seen = set()
+    for family in ("torus", "cable"):
+        config = SearchConfig(families={family}, order_max=order_max, torus_max=top, cable_max=top,
+                              slope_denominators=range(1, 17))
+        for key, ident in _rows(config, 1, order_max + 1):
+            found, params = _knot_of(ident, width)
+            m, n, q_min = _key_parts(key, width)
+            a, b = params[:2]
+            k = n if found == "torus" else 4
+            eps = m - k * a * b
+            assert found == family and params[2:] in ((), (eps,)), (found, params, m, n)
+            assert q_min == _class_min_by_pow(m, k * b * b), (found, params, m, n)
+            seen.add((params[:2], k, eps))
+    pairs = [(a, b) for b in range(3, top + 1) for a in range(2, b) if gcd(a, b) == 1]
+    assert seen == {(pair, k, eps) for pair in pairs for k in range(1, 17) for eps in (-1, 1)}
+
+
+def _assert_row_classes(knot, den):
+    # each lens slope m/den of the knot is one search row, keyed by the class that pow names
+    family, params = knot.family, knot.params
+    if _TABLE[family].symmetric:  # the rows list the first two parameters in ascending order
+        params = (*sorted(params[:2]), *params[2:])
+    for m, q in _TABLE[family].slopes(den, *params):
+        config = SearchConfig(families={family}, order_max=m, slope_denominators={den},
+                              **{_TABLE[family].cap: max(params)})
+        width = _ident_width(m)
+        keys = [key for key, ident in _rows(config, m, m + 1) if _knot_of(ident, width) == (family, params)]
+        assert [_key_parts(key, width) for key in keys] == [(m, den, _class_min_by_pow(m, q))], (knot, den, m)
 
 
 def test_closed_form_inverses_property():
@@ -91,7 +125,7 @@ def test_closed_form_inverses_property():
     @hypothesis.settings(max_examples=300, deadline=None)
     @hypothesis.given(cases)
     def check(case):
-        _assert_inverses(*case)
+        _assert_row_classes(*case)
 
     check()
 

@@ -201,11 +201,13 @@ def test_torus_cable_pair_instances():
 
 
 def test_row_ident_names_the_knot_that_made_the_row():
-    # a search row numbers its knot by one int; decoding it must give that knot
-    # back, whose lens surgery at the row's slope is the row's lens space
+    # a search row numbers its knot by one int and keys its bucket by another;
+    # decoding them must give that knot back, the row's slope and the least
+    # parameter of the knot's lens space there, up to orientation
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
-    from lenspairs.knots import FAMILIES, KnotDescriptor, _TABLE, _ident_width, _knot_of, _rows
+    from lenspairs.knots import FAMILIES, KnotDescriptor, _TABLE, _ident_width, _key_parts, _knot_of, _rows
+    from lenspairs.lens import canonical_form
     from lenspairs.search import SearchConfig
 
     def pair(low, top):
@@ -227,13 +229,15 @@ def test_row_ident_names_the_knot_that_made_the_row():
         family = draw(st.sampled_from(FAMILIES))
         knot = draw(params[family])
         den = draw(st.integers(1, 16)) if family == "torus" else 1
-        m = draw(st.sampled_from([m for m, _, _ in _TABLE[family].slopes(den, *knot)]))
+        m = draw(st.sampled_from([m for m, _ in _TABLE[family].slopes(den, *knot)]))
         return family, knot, den, m, draw(st.integers(m, 10 ** 12))
 
     @hypothesis.settings(max_examples=150, deadline=None)
     @hypothesis.example(("cable", (2, 3, -1), 1, 23, 23))
+    @hypothesis.example(("cable", (2, 3, 1), 1, 25, 10 ** 6))
     @hypothesis.example(("cable", (299, 300, -1), 1, 358799, 358799))
     @hypothesis.example(("torus", (2, 3), 16, 97, 10 ** 12))
+    @hypothesis.example(("torus", (5, 7), 16, 561, 561))
     @hypothesis.given(rows_case())
     def check(case):
         family, knot, den, m, order_max = case
@@ -241,10 +245,10 @@ def test_row_ident_names_the_knot_that_made_the_row():
                               **{_TABLE[family].cap: max(knot)})
         width = _ident_width(order_max)
         rows = list(_rows(config, m, m + 1))
-        assert (family, knot) in {_knot_of(ident, width) for *_, ident in rows}
-        for row_m, n, q, q_inv, ident in rows:
+        assert (family, knot) in {_knot_of(ident, width) for _, ident in rows}
+        for key, ident in rows:
             found = KnotDescriptor(*_knot_of(ident, width))
-            assert (row_m, q * q_inv % m) == (m, 1)
-            assert lens_surgery(found, SurgerySlope(m, n)) == Lens(make_lens(m, q))
+            slope = SurgerySlope(m, den)
+            assert _key_parts(key, width) == (m, den, canonical_form(lens_surgery(found, slope).space)[1])
 
     check()

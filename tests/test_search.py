@@ -188,6 +188,22 @@ def test_bucket_keys_keep_slopes_of_one_order_apart():
     assert [(r.slope, r.lens_class, r.members) for r in find_coincidences(config)] == expected
 
 
+def test_search_whose_order_max_is_not_a_multiple_of_the_shard_width():
+    # the benchmark's probe search: order 5000 runs in shards 313 orders wide, the last of
+    # which, [4696, 5009), ``knots._rows`` cuts to 5001; its keys must decode to the slopes
+    # and classes that an enumeration keyed by ``canonical_form`` finds
+    config = SearchConfig(order_max=5000, torus_max=500, cable_max=500, kplus_max=60, tangle_max=20)
+    width = -(-config.order_max // search._SHARDS)
+    assert config.order_max % width and width < search._SHARD_WIDTH
+    buckets = {}
+    for knot, slope, space in enumerate_surgeries(config):
+        buckets.setdefault((slope.m, slope.n, canonical_form(space)), []).append((knot, space))
+    expected = [(SurgerySlope(m, n), lens_class, tuple(members))
+                for (m, n, lens_class), members in sorted(buckets.items()) if len(members) >= 2]
+    assert any(slope.m > config.order_max - width for slope, _, _ in expected)
+    assert [(r.slope, r.lens_class, r.members) for r in find_coincidences(config)] == expected
+
+
 def test_enumerated_triples_match_lens_surgery():
     config = SearchConfig(order_max=3000, torus_max=60, cable_max=30, kplus_max=40, tangle_max=9,
                           slope_denominators={1, 2, 3})
@@ -319,7 +335,7 @@ def _tangles_sharing(monkeypatch, m, q1, q2, den):
     # torus_tangle verifies tangleHH(n) and tangleTH(n) at denominator den, and the two
     # entries of the table share the one slope m/den, with lens parameters q1 and q2
     for family, q in (("tangleHH", q1), ("tangleTH", q2)):
-        slopes = lambda den, n, q=q: ((m, q, 0),)
+        slopes = lambda den, n, q=q: ((m, q),)
         monkeypatch.setitem(knots._TABLE, family, dataclasses.replace(knots._TABLE[family], slopes=slopes))
     monkeypatch.setitem(search._VERIFY, "torus_tangle", (1, den, None, lambda n: (("tangleHH", (n,)), ("tangleTH", (n,)))))
 
@@ -399,7 +415,7 @@ def _plant_torus_parameter(monkeypatch, p, q, den, planted):
     def slopes(n, *params):
         found = original(n, *params)
         if (n, *params) == (den, p, q):
-            return tuple((m, planted.get(m, raw), inv) for m, raw, inv in found)
+            return tuple((m, planted.get(m, raw)) for m, raw in found)
         return found
 
     monkeypatch.setitem(knots._TABLE, "torus", dataclasses.replace(knots._TABLE["torus"], slopes=slopes))
