@@ -90,9 +90,10 @@ def test_product_rows_class_minimum_matches_pow():
             eps = m - k * a * b
             assert found == family and params[2:] in ((), (eps,)), (found, params, m, n)
             assert q_min == _class_min_by_pow(m, k * b * b), (found, params, m, n)
-            seen.add((params[:2], k, eps))
+            seen.add((found, params[:2], k, eps))
     pairs = [(a, b) for b in range(3, top + 1) for a in range(2, b) if gcd(a, b) == 1]
-    assert seen == {(pair, k, eps) for pair in pairs for k in range(1, 17) for eps in (-1, 1)}
+    products = [("torus", k) for k in range(1, 17)] + [("cable", 4)]
+    assert seen == {(family, pair, k, eps) for family, k in products for pair in pairs for eps in (-1, 1)}
 
 
 def _assert_row_classes(knot, den):
