@@ -30,9 +30,15 @@ A search row is two ints.  Its bucket key, which ``_key`` packs and
 ``_key_parts`` reads back, holds the slope m/n and q_min, the least
 parameter of the unoriented class of the lens space; its ``ident``, which
 ``_knot_of`` reads back, numbers the knot.  Torus and cable rows come from
-one generator, ``_product_rows``, which finds q_min in closed form with one
-``divmod`` per knot; the kplus and tangle rows take ``lens._class_min`` of
-the parameter and its inverse.  So the search only buckets.
+one generator, ``_product_rows``, which finds q_min in closed form; the
+kplus and tangle rows take ``lens._class_min`` of the parameter and its
+inverse.  So the search only buckets.  Most torus and cable rows are
+regular: with b = t*a + r, q_min is k*a^2, so at fixed (k, a, eps) their
+keys and idents are linear in b.  ``_product_rows`` yields only the other,
+irregular rows one by one, and hands the regular ones over as runs, each a
+range of keys; ``_run_member`` admits a run's members, which by the lemma
+stated beside it never share a key with each other.  So the search
+buckets the rows and only probes each run's keys against them.
 
 The rules that need no object come as functions of (family, params) ints:
 ``_check_knot`` validates a knot, ``_knot_text`` writes it, ``_distinct``
@@ -197,18 +203,7 @@ def _key_parts(key: int, width: int) -> tuple[int, int, int]:
     return m, n, q_min
 
 
-def _coprime_pairs(top, lo, hi, k):
-    # coprime 2 <= a < b <= top with lo <= k*a*b + 1 and k*a*b - 1 < hi, by a then b
-    for a in range(2, top + 1):
-        last = min(top, hi // (k * a))  # coprime 2 <= a < b <= last have k*a*b - 1 < hi
-        if last <= a:
-            break
-        for b in range(max(a + 1, -(-(lo - 1) // (k * a))), last + 1):
-            if gcd(a, b) == 1:
-                yield a, b
-
-
-def _product_rows(offset, width, sign, top, lo, hi, products):
+def _product_rows(offset, width, sign, top, lo, hi, products, runs):
     """The rows of the knots with parameters coprime 2 <= a < b <= top whose
     lens slopes are m/den at m = k*a*b + eps, eps = -1 and +1, giving
     L(m, k*b^2), for each (k, den) of ``products``: the torus knot (a, b) at
@@ -217,61 +212,135 @@ def _product_rows(offset, width, sign, top, lo, hi, products):
 
     The class minimum comes in closed form.  x = k*a^2 inverts k*b^2 mod m,
     as their product is (k*a*b)^2 = (m - eps)^2, and x < m.  With b = t*a + r,
-    1 <= r < a, k*b^2 = t*(m - eps) + k*b*r, which is z = y - t*eps mod m for
-    y = k*b*r, and 1 <= t < b/2 puts z in (0, m).  So q_min is the least of
-    x, m - x, z and m - z.  ``_coprime_pairs`` already keeps k*a*b - 1 < hi
-    and lo <= k*a*b + 1, so each slope checks one end of the range; the two
-    are written out, as a loop over eps costs a tuple walk per pair.
+    1 <= r < a, k*b^2 = t*(m - eps) + k*b*r, which is z = k*b*r - t*eps mod m,
+    and 1 <= t < b/2 puts z in (0, m).  So q_min is the least of x, m - x, z
+    and m - z.
+
+    A row is regular when t >= 2 and x < z < m - x.  Its q_min is then x, so
+    at fixed (k, a, eps) its key x*scale + m*base + den and its ident are
+    linear in b.  At each r, z = t*(k*a*r - eps) + k*r^2 and m - z =
+    t*(k*a*(a - r) + eps) + k*(a - r)*r + eps grow with t; within the block
+    t*a < b < (t + 1)*a, z rises with r and m - z falls.  So the irregular
+    rows of a block sit at its two ends, and from the first block where
+    z > x at r = 1 and m - z > x at r = a - 1 on, every row is regular.
+
+    This yields the irregular rows, scanning in from both ends of each block
+    before that one, and appends to ``runs`` at most one run per (k, a, eps),
+    (keys, bs, idents, k, a, eps): bs is the range of b from the least to the
+    largest regular row of the slope window, and keys and idents are the
+    parallel ranges that a regular row at each b would have.  A run spans the
+    irregular and non-coprime b in between as well; ``_run_member`` admits
+    only the regular rows of coprime (a, b), which are the rows not yielded.
     """
     base = _DEN_MAX + 1
     scale = width * base  # ``_key`` is q_min*scale + m*base + n
+    step = width * width  # the weight of b in an ident
     for k, den in products:
-        for a, b in _coprime_pairs(top, lo, hi, k):
-            ident = offset + width * (a + width * b)
-            kab = k * a * b
-            x = k * a * a
-            t, r = divmod(b, a)
-            y = k * b * r
-            m = kab - 1
-            if m >= lo:
-                z = y + t
-                u = x if x + x < m else m - x
-                v = z if z + z < m else m - z
-                yield (u if u < v else v) * scale + m * base + den, ident - sign
-            m = kab + 1
-            if m < hi:
-                z = y - t
-                u = x if x + x < m else m - x
-                v = z if z + z < m else m - z
-                yield (u if u < v else v) * scale + m * base + den, ident + sign
+        for a in range(2, top):
+            ka = k * a
+            if ka * (a + 1) - 1 >= hi:  # b = a + 1 gives the least m of this and every larger a
+                break
+            x = ka * a
+            for eps in (-1, 1):
+                # the window a < b <= top with lo <= k*a*b + eps < hi
+                first = max(a + 1, (lo - eps + ka - 1) // ka)
+                last = min(top, (hi - 1 - eps) // ka)
+                if first > last:
+                    continue
+                ident = offset + width * a + eps * sign
+                # the first block t whose every row is regular: z > x at r = 1, m - z > x at r = a - 1
+                regular = max(2, (x - k) // (ka - eps) + 1, (x - ka + k - eps) // (ka + eps) + 1)
+                lowest = highest = None  # the least and the largest b of a regular row
+                for t in range(first // a, min(last // a, regular - 1) + 1):
+                    ta = t * a
+                    low = first if first > ta else ta + 1
+                    high = last if last < ta + a else ta + a - 1
+                    b, c = high + 1, high  # at t = 1 no row is regular
+                    if t >= 2:
+                        b = low
+                        while b <= c and k * b * (b - ta) - eps * t <= x:
+                            b += 1
+                        while c >= b and k * (ta + a - c) * c + eps * (t + 1) <= x:
+                            c -= 1
+                        if b <= c:
+                            lowest = b if lowest is None else lowest
+                            highest = c
+                    # the irregular rows of the block: below b and above c
+                    for s in itertools.chain(range(low, b), range(c + 1, high + 1)):
+                        r = s - ta
+                        if gcd(a, r) == 1:
+                            m = ka * s + eps
+                            z = k * s * r - eps * t
+                            u = x if x + x < m else m - x
+                            v = z if z + z < m else m - z
+                            yield (u if u < v else v) * scale + m * base + den, ident + step * s
+                if last > regular * a:
+                    lowest = max(first, regular * a + 1) if lowest is None else lowest
+                    highest = last
+                if lowest is not None:
+                    start = x * scale + (ka * lowest + eps) * base + den
+                    stop = start + (highest - lowest + 1) * ka * base
+                    runs.append((range(start, stop, ka * base), range(lowest, highest + 1),
+                                 range(ident + step * lowest, ident + step * (highest + 1), step), k, a, eps))
 
 
-def _torus_rows(offset, width, slopes, top, lo, hi, dens):
-    return _product_rows(offset, width, 0, top, lo, hi, [(n, n) for n in dens])
+# Two regular rows never share a key, so the members of the runs of
+# ``_product_rows`` need no bucketing among themselves, only a probe of the
+# other rows' keys.  Two rows with one key share m, den and q_min = k*a^2 =
+# k'*c^2, where a torus row has k = den and a cable row k = 4, den = 1.
+# - Equal k: then a = c, and k*a*(b - d) = eps' - eps lies in {0, 2, -2}.
+#   With k*a > 2 this forces b = d and eps = eps', the same knot; k*a = 2 is
+#   a = 2 with b - d = +-1, where one of b and d is even.
+# - Torus k = 1 against cable k' = 4 (the only pair of families at one den):
+#   a = 2c, and 2c*(b - 2d) = eps' - eps with 2c >= 4 forces b = 2d, so
+#   both a and b are even.
+# Each exception breaks gcd(a, b) = 1, so it is no row.
+def _run_member(run, key):
+    """The ident of the row that ``run`` keys by ``key``, a key of the run,
+    or None where that b is not coprime to a or its row is not regular."""
+    keys, bs, idents, k, a, eps = run
+    i = keys.index(key)
+    b = bs[i]
+    t, r = divmod(b, a)
+    x, m, z = k * a * a, k * a * b + eps, k * b * r - eps * t
+    return idents[i] if t >= 2 and x < z < m - x and gcd(a, r) == 1 else None
 
 
-def _cable_rows(offset, width, slopes, top, lo, hi, dens):
+def _run_rows(runs):
+    # every member of every run, as (key, ident)
+    for run in runs:
+        for key in run[0]:
+            ident = _run_member(run, key)
+            if ident is not None:
+                yield key, ident
+
+
+def _torus_rows(offset, width, slopes, top, lo, hi, dens, runs):
+    return _product_rows(offset, width, 0, top, lo, hi, [(n, n) for n in dens], runs)
+
+
+def _cable_rows(offset, width, slopes, top, lo, hi, dens, runs):
     # eps is the third parameter, so its digit eps + 1 carries weight width^3
-    return _product_rows(offset, width, width ** 3, top, lo, hi, [(4, 1)])
+    return _product_rows(offset, width, width ** 3, top, lo, hi, [(4, 1)], runs)
 
 
-def _kplus_rows(offset, width, slopes, top, lo, hi, dens):
+def _kplus_rows(offset, width, slopes, top, lo, hi, dens, runs):
     for a in range(1, top + 1):
         if 3 * a * a >= hi:  # kplus(a, a) has the least order of all kplus(a, b >= a)
             break
         # every b below start has order a^2 + ab + b^2 < lo
         start = max(a, (isqrt(max(0, 4 * lo - 3 * a * a)) - a) // 2)
         for b in range(start, top + 1):
-            if gcd(a, b) == 1:
+            m = a * a + a * b + b * b
+            if m >= hi:
+                break
+            if m >= lo and gcd(a, b) == 1:
                 # L(m, w^2) with core parameter k = -w: w^3 = -1 mod m, so k inverts q
                 m, q, k = _kplus_pqk(a, b)
-                if m >= hi:
-                    break
-                if m >= lo:
-                    yield _key(m, 1, _class_min(m, q, k), width), offset + width * (a + width * b)
+                yield _key(m, 1, _class_min(m, q, k), width), offset + width * (a + width * b)
 
 
-def _index_rows(offset, width, slopes, top, lo, hi, dens):
+def _index_rows(offset, width, slopes, top, lo, hi, dens, runs):
     # one parameter n >= 1, and the lens order grows with n
     for n in range(1, top + 1):
         ((m, q),) = slopes(1, n)
@@ -291,8 +360,9 @@ class _Family:
     rule: str  # what ``valid`` asks of the parameters
     # (den, *params) -> lens slopes ((m, q), ...): m/den-surgery gives L(m, q), q not reduced
     slopes: Callable
-    # (offset, width, slopes, top, lo, hi, dens) -> the search rows (key, ident) of ``_rows``,
-    # each numbering its knot p_1, p_2, ... by ident = offset + p_1*width + p_2*width^2 + ...
+    # (offset, width, slopes, top, lo, hi, dens, runs) -> the search rows (key, ident) of
+    # ``_rows``, each numbering its knot p_1, p_2, ... by ident = offset + p_1*width +
+    # p_2*width^2 + ...; a family may append some of its rows to ``runs`` as runs instead
     rows: Callable
     cap: str  # the SearchConfig field that bounds the parameters in ``rows``
     other: Callable = lambda m, n, *params: NotLens("unknown-for-family")  # outcome at other slopes m/n
@@ -355,7 +425,7 @@ def _ident_width(order_max: int) -> int:
     return max(len(_TABLE), order_max + 3)
 
 
-def _rows(config, lo: int, hi: int):
+def _rows(config, lo: int, hi: int, runs: list | None = None):
     """Yield (key, ident) for each knot of each family in ``config.families``
     up to its ``config`` cap and each lens slope m/n with lo <= m <
     min(hi, ``config.order_max`` + 1), giving L(m, q).  Both are plain ints
@@ -366,16 +436,25 @@ def _rows(config, lo: int, hi: int):
     numbers the knot, with the family's index in ``_TABLE`` as its lowest
     digit and each parameter plus one as the next digits, and
     ``_knot_of(ident, width)`` reads it back.  Rows come in no particular
-    order."""
+    order.
+
+    Given a list ``runs``, the regular torus and cable rows of
+    ``_product_rows`` are not yielded: their runs are appended to ``runs``
+    as the rows are consumed, and ``_run_member`` admits their members.  No
+    two run members share a key.  Without it, the members follow the rows,
+    so the rows are complete."""
     hi = min(hi, config.order_max + 1)
     width = _ident_width(config.order_max)
-    return itertools.chain.from_iterable(
+    found = [] if runs is None else runs
+    rows = itertools.chain.from_iterable(
         # the offset holds the family index and the + 1 of every parameter digit
         entry.rows(index + sum(width ** k for k in range(1, entry.arity + 1)), width, entry.slopes,
-                   getattr(config, entry.cap), lo, hi, config.slope_denominators)
+                   getattr(config, entry.cap), lo, hi, config.slope_denominators, found)
         for index, (family, entry) in enumerate(_TABLE.items())
         if family in config.families
     )
+    # the member generator reads ``found`` only once the rows are spent
+    return itertools.chain(rows, _run_rows(found)) if runs is None else rows
 
 
 def _knot_of(ident: int, width: int) -> tuple[str, tuple[int, ...]]:

@@ -17,9 +17,12 @@ of ``search``, and ``_lens_text`` by ``search.verify_family``, which
 passes the order as the text it wrote once, and by the ``dual`` command.  The
 coincidence search keys its buckets on the same class, packed into one int
 with the slope by ``knots._rows``, which calls ``_class_min`` for the kplus
-and tangle rows and finds the torus and cable minima in closed form; it
-makes a ``LensSpace``, through ``knots.lens_surgery``, only for a class
-that two knots share.
+and tangle rows and finds the torus and cable minima in closed form.  For
+the regular torus and cable rows, most of them, the minimum is k*a^2, so
+their keys come as runs in b, and no two of them share a class at one
+slope (the lemma beside ``knots._run_member``); the search only probes
+them.  It makes a ``LensSpace``, through ``knots.lens_surgery``, only for
+a class that two knots share.
 """
 
 from __future__ import annotations

@@ -6,14 +6,19 @@ m/n-surgery has order m.  ``find_coincidences`` splits the range of m into
 shards that share no bucket.  Each shard takes its own candidates from
 ``knots._rows`` as two plain ints each, a bucket key made from (m, n,
 unoriented lens class) and the number of the knot, and only buckets them:
-``knots`` owns the key, its decoder and the class rule.  A class with one
-member keeps only its knot's number; a list exists only for a class that
-two or more rows share, and only those become knot and lens-space
-objects, each member's space its ``knots.lens_surgery`` at the record's
-slope.  So a shard holds almost nothing that the cyclic garbage collector
-tracks.  Shards run one at a time in this process, or over a pool of
-``workers`` processes capped at ``os.cpu_count()`` and started by the
-platform's default method; any worker count gives the same records.
+``knots`` owns the key, its decoder and the class rule.  The regular torus
+and cable rows, most of them, come as runs instead: ranges of keys whose
+members share no key with each other, so each run only probes the
+bucketed keys at C speed, and ``knots._run_member`` checks gcd and
+regularity on a hit alone.  A class with one member keeps only its knot's
+number; a list exists only for a class that two or more rows share, and
+only those become knot and lens-space objects, each member's space its
+``knots.lens_surgery`` at the record's slope.  So a shard holds almost
+nothing that the cyclic garbage collector tracks.  Shards run one at a
+time in this process, or over a pool of ``workers`` processes capped at
+``os.cpu_count()``, started by the platform's default method, or by spawn
+while the caller runs other threads; any worker count gives the same
+records.
 Because the artifact cannot always certify non-equivalence, every record
 carries both its raw member count and the size of its largest subset of
 pairwise certified-distinct members.
@@ -44,7 +49,9 @@ from __future__ import annotations
 import itertools
 import json
 import os
+import threading
 from dataclasses import dataclass, field
+from math import gcd
 
 from .knots import (
     FAMILIES,
@@ -53,7 +60,6 @@ from .knots import (
     _DEN_MAX,
     _TABLE,
     _check_knot,
-    _coprime_pairs,
     _distinct,
     _ident_width,
     _key_parts,
@@ -61,6 +67,7 @@ from .knots import (
     _knot_text,
     _reduced_slope,
     _rows,
+    _run_member,
     _shared_lens_slopes,
     distinct,
     lens_surgery,
@@ -180,27 +187,44 @@ _SHARDS = 16
 _SHARD_WIDTH = 4096
 
 
-def _shard_records(task) -> list[CoincidenceRecord]:
-    """The finished records of one shard (config, lo, hi) of lens orders.
+def _shared_buckets(config: SearchConfig, lo: int, hi: int) -> dict:
+    """The buckets that two or more rows of lens order lo <= m < hi share,
+    as {key: [ident, ...]} over the bucket keys and knot numbers of
+    ``knots._rows``.
 
-    ``first`` maps each bucket key of ``knots._rows``, one int made from
-    (m, n, q_min), to the knot number ``ident`` of the first row with that
+    ``first`` maps each bucket key to the ident of the first row with that
     key; a list is made only when a second row arrives.  A class with one
     member, nearly every class, so keeps two ints, which the cyclic garbage
-    collector does not track.  Only the shared classes are decoded into
-    knots, and each member's lens space is its ``lens_surgery`` at the
-    record's slope.
+    collector does not track.  The regular torus and cable rows come as
+    runs, whose members share no key with each other, so each run only
+    probes ``first`` through ``filter`` over its range of keys, and only a
+    hit is decoded and admitted by ``knots._run_member``.
     """
-    config, lo, hi = task
     first: dict = {}
     shared: dict = {}
-    for key, ident in _rows(config, lo, hi):
+    runs: list = []
+    for key, ident in _rows(config, lo, hi, runs):
         other = first.setdefault(key, ident)
         if other is not ident:  # setdefault hands back this very int only for a new key
             shared.setdefault(key, [other]).append(ident)
+    for run in runs:
+        for key in filter(first.__contains__, run[0]):
+            ident = _run_member(run, key)
+            if ident is not None:
+                shared.setdefault(key, [first[key]]).append(ident)
+    return shared
+
+
+def _shard_records(task) -> list[CoincidenceRecord]:
+    """The finished records of one shard (config, lo, hi) of lens orders.
+
+    Only the shared buckets are decoded into knots, and each member's lens
+    space is its ``lens_surgery`` at the record's slope.
+    """
+    config, lo, hi = task
     width = _ident_width(config.order_max)
     records = []
-    for key, idents in shared.items():
+    for key, idents in _shared_buckets(config, lo, hi).items():
         m, n, q_min = _key_parts(key, width)
         # a row's m and n are coprime, so the slope is the one that made the row
         slope = SurgerySlope(m, n)
@@ -213,6 +237,12 @@ def _shard_records(task) -> list[CoincidenceRecord]:
     return records
 
 
+def _shards(config: SearchConfig) -> list[tuple]:
+    # the tasks (config, lo, hi) of ``_shard_records``, which cover the orders 1..order_max
+    width = min(_SHARD_WIDTH, -(-config.order_max // _SHARDS))
+    return [(config, lo, lo + width) for lo in range(1, config.order_max + 1, width)]
+
+
 def find_coincidences(config: SearchConfig) -> list[CoincidenceRecord]:
     """Group the candidates by (slope, lens class); keep groups of >= 2 knots.
 
@@ -223,23 +253,27 @@ def find_coincidences(config: SearchConfig) -> list[CoincidenceRecord]:
     knot twice.  Pairs whose non-equivalence cannot be certified stay in the
     record and are accounted for by ``certified_multiplicity``.
 
-    The pool starts its workers by the platform's default method.  Forked
-    workers (Linux, through Python 3.13) begin with the caller's modules
-    loaded.  Where the default is spawn (macOS, Windows), each worker is a
-    fresh interpreter that imports the caller's main module, so there a
-    script that asks for more than one worker makes the call under
-    ``if __name__ == "__main__":``.
+    The pool starts its workers by the platform's default method while
+    the caller runs one thread, and by spawn while it runs more, since a
+    forked child holds only the forking thread and may deadlock on a lock
+    that another held.  Forked workers (Linux, through Python 3.13) begin
+    with the caller's modules loaded.  A spawned worker (the default on
+    macOS and Windows) is a fresh interpreter that imports the caller's
+    main module, so a script that may spawn its workers makes the call
+    under ``if __name__ == "__main__":``.
     """
-    width = min(_SHARD_WIDTH, -(-config.order_max // _SHARDS))
-    tasks = [(config, lo, lo + width) for lo in range(1, config.order_max + 1, width)]
+    tasks = _shards(config)
     workers = min(config.workers, os.cpu_count() or 1, len(tasks))
     if workers == 1:
         records = [record for task in tasks for record in _shard_records(task)]
     else:
-        # imported here, so that a sequential search or any other query never loads it
+        # imported here, so that a sequential search or any other query never loads them
+        import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(workers) as pool:
+        # a forked child inherits only the forking thread, so with others alive fork may deadlock
+        context = multiprocessing.get_context("spawn") if threading.active_count() > 1 else None
+        with ProcessPoolExecutor(workers, mp_context=context) as pool:
             records = [record for part in pool.map(_shard_records, tasks) for record in part]
     records.sort(key=lambda r: (r.slope.m, r.slope.n, r.lens_class[1]))
     return records
@@ -370,8 +404,10 @@ def verify_no_nonintegral_pairs(p_max: int, n_min: int, n_max: int) -> Nonintegr
     if n_min < 3:
         raise InvalidIndex("meaningful only for slope denominators >= 3")
     by_product: dict[int, list] = {}
-    for q, p in _coprime_pairs(p_max, 1, p_max * p_max, 1):
-        by_product.setdefault(p * q, []).append((p, q))
+    for p in range(3, p_max + 1):
+        for q in range(2, p):
+            if gcd(p, q) == 1:
+                by_product.setdefault(p * q, []).append((p, q))
     pairs = []
     checked = 0
     violations = []

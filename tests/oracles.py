@@ -4,7 +4,8 @@ The walks and the box scan materialise every term, so they are only fit
 for small inputs.  The family rules restate, one if-chain per question,
 what the family table of ``lenspairs.knots`` answers, and ``family_pair``
 states the knots and the shared slope of each verified construction by the
-paper's formulas."""
+paper's formulas.  ``product_rows`` makes the torus and cable search rows
+one knot at a time, as the search did before it probed runs of them."""
 
 from __future__ import annotations
 
@@ -27,6 +28,7 @@ from lenspairs.knots import (
     tangle_th,
     torus,
 )
+from lenspairs.knots import _key, _ident_width
 from lenspairs.lens import make_lens
 from lenspairs.sequences import InvalidIndex, fib, pair
 
@@ -277,3 +279,40 @@ def family_pair(family: str, n: int):
             SurgerySlope(18 * n * n + 33 * n + 15),
         )
     raise InvalidIndex(f"unknown verification family {family!r}")
+
+
+def product_rows(config, lo: int, hi: int):
+    """The torus and cable rows (key, ident) of ``knots._rows`` with lens
+    order lo <= m < min(hi, order_max + 1), each made on its own: for every
+    coprime 2 <= a < b <= cap, slope m/den at m = k*a*b + eps gives
+    L(m, k*b^2), with k = den for the torus knot (a, b) and k = 4, den = 1
+    for the cable (a, b, eps).  x = k*a^2 inverts k*b^2 mod m, and with
+    b = t*a + r, k*b^2 = z = k*b*r - t*eps mod m, so the class minimum is
+    the least of x, m - x, z and m - z."""
+    hi = min(hi, config.order_max + 1)
+    width = _ident_width(config.order_max)
+    products = []
+    if "torus" in config.families:
+        products += [("torus", den, den, config.torus_max) for den in config.slope_denominators]
+    if "cable" in config.families:
+        products.append(("cable", 4, 1, config.cable_max))
+    for family, k, den, top in products:
+        index = FAMILIES.index(family)
+        for a in range(2, top + 1):
+            if k * a * (a + 1) - 1 >= hi:  # the least order of this and every larger a
+                break
+            # every b below the start has k*a*b + 1 < lo
+            for b in range(max(a + 1, (lo - 1) // (k * a)), top + 1):
+                if k * a * b - 1 >= hi:
+                    break
+                if gcd(a, b) != 1:
+                    continue
+                t, r = divmod(b, a)
+                x = k * a * a
+                for eps in (-1, 1):
+                    m = k * a * b + eps
+                    if lo <= m < hi:
+                        z = k * b * r - t * eps
+                        params = (a, b) if family == "torus" else (a, b, eps)
+                        ident = index + sum((p + 1) * width ** place for place, p in enumerate(params, 1))
+                        yield _key(m, den, min(x, m - x, z, m - z), width), ident

@@ -16,6 +16,7 @@ from lenspairs.knots import (
     _key_parts,
     _knot_of,
     _rows,
+    _run_rows,
     cable,
     distinct,
     genus,
@@ -94,6 +95,38 @@ def test_product_rows_class_minimum_matches_pow():
     pairs = [(a, b) for b in range(3, top + 1) for a in range(2, b) if gcd(a, b) == 1]
     products = [("torus", k) for k in range(1, 17)] + [("cable", 4)]
     assert seen == {(family, pair, k, eps) for family, k in products for pair in pairs for eps in (-1, 1)}
+
+
+def test_run_members_are_regular_rows_that_share_no_key():
+    # the runs of every torus row at denominators 1..16 and every cable row, for 2 <= a < b <= 60
+    top = 60
+    order_max = 16 * top * top + 1
+    width = _ident_width(order_max)
+    config = SearchConfig(families={"torus", "cable"}, order_max=order_max, torus_max=top, cable_max=top,
+                          slope_denominators=range(1, 17))
+    runs = []
+    rows = list(_rows(config, 1, order_max + 1, runs))
+    members = list(_run_rows(runs))
+    assert members and len({key for key, _ in members}) == len(members)
+    for key, ident in members:
+        family, params = _knot_of(ident, width)
+        m, n, q_min = _key_parts(key, width)
+        k = n if family == "torus" else 4
+        a, b = params[:2]
+        assert q_min == k * a * a == _class_min_by_pow(m, k * b * b), (family, params, m, n)
+    # the yielded rows and the run members are the rows made one by one, each once
+    assert sorted(rows + members) == sorted(oracles.product_rows(config, 1, order_max + 1))
+    # a run spans b that share a factor with a; planted alone, one whose row would
+    # otherwise be regular is no member
+    planted = []
+    for keys, bs, idents, k, a, eps in runs:
+        for i, b in enumerate(bs):
+            t, r = divmod(b, a)
+            m, z = k * a * b + eps, k * b * r - eps * t
+            if gcd(a, b) > 1 and t >= 2 and k * a * a < z < m - k * a * a:
+                planted.append((keys[i:i + 1], bs[i:i + 1], idents[i:i + 1], k, a, eps))
+    assert planted
+    assert list(_run_rows(planted)) == []
 
 
 def _assert_row_classes(knot, den):

@@ -3,8 +3,11 @@ import dataclasses
 import gc
 import hashlib
 import json
+import itertools
 import os
+import threading
 import time
+import warnings
 
 import pytest
 
@@ -32,6 +35,7 @@ from lenspairs.search import (
     verify_no_nonintegral_pairs,
 )
 from lenspairs.sequences import InvalidIndex
+import oracles
 from oracles import torus_pairs_sharing_a_product
 
 
@@ -204,6 +208,27 @@ def test_search_whose_order_max_is_not_a_multiple_of_the_shard_width():
     assert [(r.slope, r.lens_class, r.members) for r in find_coincidences(config)] == expected
 
 
+@pytest.mark.parametrize("bounds", [
+    dict(CI_BOUNDS),
+    dict(order_max=20000, torus_max=20000, cable_max=20000, kplus_max=300, tangle_max=100,
+         slope_denominators=range(1, 17)),
+    dict(order_max=3001, torus_max=5000, cable_max=5000, kplus_max=5000, tangle_max=5000),
+    dict(order_max=50000, torus_max=40, cable_max=40, kplus_max=300, tangle_max=100),
+], ids=["benchmark", "order20000-den16", "order3001-caps-above", "torus40-order50000"])
+def test_shard_buckets_match_the_per_row_closed_form(bounds):
+    # each shard's shared buckets, with the regular torus and cable rows probed as runs, are
+    # those of bucketing every row one by one, the torus and cable rows made by the oracle
+    config = SearchConfig(**bounds)
+    others = dataclasses.replace(config, families=config.families - {"torus", "cable"})
+    for _, lo, hi in search._shards(config):
+        buckets = {}
+        for key, ident in itertools.chain(oracles.product_rows(config, lo, hi), knots._rows(others, lo, hi)):
+            buckets.setdefault(key, []).append(ident)
+        expected = {key: sorted(idents) for key, idents in buckets.items() if len(idents) >= 2}
+        got = {key: sorted(idents) for key, idents in search._shared_buckets(config, lo, hi).items()}
+        assert got == expected, (lo, hi)
+
+
 def test_enumerated_triples_match_lens_surgery():
     config = SearchConfig(order_max=3000, torus_max=60, cable_max=30, kplus_max=40, tangle_max=9,
                           slope_denominators={1, 2, 3})
@@ -242,6 +267,35 @@ def test_pool_is_capped_at_cpu_count(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
     assert find_coincidences(SearchConfig(order_max=500, workers=8)) == sequential
     assert sizes == []
+
+
+def test_pool_spawns_its_workers_while_another_thread_runs(monkeypatch):
+    # a process that runs threads may deadlock in a forked child, and Python 3.12+ warns on it
+    methods = []
+
+    class Recording(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, mp_context=None, **kwargs):
+            methods.append(mp_context and mp_context.get_start_method())
+            super().__init__(max_workers, mp_context=mp_context, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    config = SearchConfig(order_max=2000, workers=1)
+    sequential = find_coincidences(config)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        # os.fork clears the error that a warnings-as-errors filter makes of its warning, so record it
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            pooled = find_coincidences(dataclasses.replace(config, workers=2))
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert [str(w.message) for w in caught] == []
+    assert [r.to_json() for r in pooled] == [r.to_json() for r in sequential]
+    assert methods == (["spawn"] if os.cpu_count() > 1 else [])
 
 
 def test_record_json_shape():
