@@ -13,9 +13,7 @@ from lenspairs import (
     kplus,
     lens_surgery,
     make_lens,
-    natural_slope,
     oriented_homeomorphic,
-    reverse_orientation,
     tangle_hh,
     tangle_th,
     torus,
@@ -24,14 +22,15 @@ from lenspairs import (
 trefoil = torus(2, 3)
 result = lens_surgery(trefoil, SurgerySlope(5))
 print(f"5-surgery on {trefoil}: {result.space}")
-print(f"reverse orientation: {reverse_orientation(result.space)}")
+print(f"reverse orientation: {make_lens(result.space.p, -result.space.q)}")
 print(f"same unoriented space as L(5,1)? {homeomorphic(result.space, make_lens(5, 1))}")
 print(f"same oriented space as L(5,1)?   {oriented_homeomorphic(result.space, make_lens(5, 1))}")
 print()
 
-print("surgery on one representative of each family at its lens slope:")
-for knot in (torus(3, 4), cable(2, 3, 1), kplus(2, 3), tangle_hh(1), tangle_th(1)):
-    slope = natural_slope(knot) or SurgerySlope(13)
+print("surgery on one representative of each family at a lens slope:")
+# 3*4 + 1, 4*2*3 + 1, 2^2 + 2*3 + 3^2, and the designated tangle slopes at n = 1
+for knot, m in ((torus(3, 4), 13), (cable(2, 3, 1), 25), (kplus(2, 3), 19), (tangle_hh(1), 93), (tangle_th(1), 66)):
+    slope = SurgerySlope(m)
     print(f"  {str(knot):<14} @ {str(slope):>6} -> {lens_surgery(knot, slope).space}")
 print()
 

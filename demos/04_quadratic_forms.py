@@ -17,7 +17,6 @@ from lenspairs import (
     fundamental_unit,
     generate_solutions,
     orbit_representatives,
-    window_bound,
 )
 
 plus = QuadForm(1, -6, 1)
@@ -27,11 +26,9 @@ for form in (plus, minus):
     unit = fundamental_unit(form.delta)
     print(f"{form}  (discriminant {form.delta}), fundamental unit u={unit.u}, v={unit.v}")
     for m in (1, -1):
-        window = window_bound(form, m)
         reps = orbit_representatives(form, m)
         sols = generate_solutions(form, m, 4)
-        print(f"  m = {m:>2}: window W^2 = {window.w_squared}, floor {window.floor}; "
-              f"representatives {reps or 'none'}")
+        print(f"  m = {m:>2}: one representative per orbit in the window: {reps or 'none'}")
         if sols:
             print(f"          first solutions per orbit: {sols}")
     print()
@@ -41,8 +38,7 @@ pell = QuadForm(1, 0, -61)
 unit = fundamental_unit(pell.delta)
 print(f"  {pell}  (discriminant {pell.delta}): u={unit.u}, v={unit.v}")
 wide = QuadForm(1, 1, -60)
-window = window_bound(wide, 1)
-print(f"  {wide} = 1  (discriminant {wide.delta}): window floor {window.floor}, "
+print(f"  {wide} = 1  (discriminant {wide.delta}): window nine million wide, "
       f"representatives {orbit_representatives(wide, 1)}")
 print(f"          first solutions: {generate_solutions(wide, 1, 3)}")
 print()

@@ -18,7 +18,6 @@ from .bqf import (
     fundamental_unit,
     generate_solutions,
     orbit_representatives,
-    window_bound,
 )
 from .dualknot import (
     BasicSequenceStats,
@@ -39,7 +38,6 @@ from .knots import (
     genus,
     kplus,
     lens_surgery,
-    natural_slope,
     tangle_hh,
     tangle_th,
     torus,
@@ -50,7 +48,6 @@ from .lens import (
     homeomorphic,
     make_lens,
     oriented_homeomorphic,
-    reverse_orientation,
 )
 from .search import (
     CoincidenceRecord,

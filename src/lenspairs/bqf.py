@@ -45,13 +45,11 @@ __all__ = [
     "NotApplicable",
     "QuadForm",
     "UnitElement",
-    "WindowBound",
     "apply_unit",
     "divisibility_scan",
     "fundamental_unit",
     "generate_solutions",
     "orbit_representatives",
-    "window_bound",
 ]
 
 
@@ -147,7 +145,7 @@ def fundamental_unit(delta: int) -> UnitElement:
     return UnitElement(delta, p - q, q)
 
 
-class WindowBound(NamedTuple):
+class _WindowBound(NamedTuple):
     """The window [0, W] on y that holds one representative per orbit.
 
     W is carried exactly as its square (a rational) plus the integer floor.
@@ -164,23 +162,16 @@ class WindowBound(NamedTuple):
         return is_perfect_square(self.w_squared.numerator)
 
 
-def window_bound(form: QuadForm, m: int) -> WindowBound:
-    """W^2 = |A m (t -+ 2) / D| where t is the trace of the fundamental unit.
+def _window(form: QuadForm, m: int, unit: UnitElement) -> _WindowBound:
+    """W^2 = |A m (t -+ 2) / D| where t is the trace of the fundamental ``unit``.
 
     The sign is - for A*m > 0 and + for A*m < 0.
     """
-    if m == 0:
-        raise ValueError("m must be nonzero")
-    return _window(form, m, fundamental_unit(form.delta))
-
-
-def _window(form: QuadForm, m: int, unit: UnitElement) -> WindowBound:
-    # window_bound for an already computed fundamental unit
     t = unit.trace()
     shift = -2 if form.A * m > 0 else 2
     w_squared = Fraction(abs(form.A * m * (t + shift)), form.delta)
     floor = isqrt(w_squared.numerator * w_squared.denominator) // w_squared.denominator
-    return WindowBound(w_squared, floor)
+    return _WindowBound(w_squared, floor)
 
 
 def orbit_representatives(form: QuadForm, m: int) -> list[FormSolution]:

@@ -22,9 +22,9 @@ search and the command line.  Adding a family means adding one entry and
 one constructor; a family whose ``cap`` is new also needs that one
 ``SearchConfig`` field, and the command line derives its ``--*-max`` flag
 from the field.  Only this module reads an entry's lens slopes: one knot's
-through ``lens_surgery`` and ``natural_slope``, the search's rows through
-``_rows``, and the slopes two knots share at one denominator, with both
-parameters validated and reduced, through ``_shared_lens_slopes``.
+through ``lens_surgery``, the search's rows through ``_rows``, and the
+slopes two knots share at one denominator, with both parameters validated
+and reduced, through ``_shared_lens_slopes``.
 
 A search row is two ints.  Its bucket key, which ``_key`` packs and
 ``_key_parts`` reads back, holds the slope m/n and q_min, the least
@@ -32,13 +32,15 @@ parameter of the unoriented class of the lens space; its ``ident``, which
 ``_knot_of`` reads back, numbers the knot.  Torus and cable rows come from
 one generator, ``_product_rows``, which finds q_min in closed form; the
 kplus and tangle rows take ``lens._class_min`` of the parameter and its
-inverse.  So the search only buckets.  Most torus and cable rows are
-regular: with b = t*a + r, q_min is k*a^2, so at fixed (k, a, eps) their
-keys and idents are linear in b.  ``_product_rows`` yields only the other,
-irregular rows one by one, and hands the regular ones over as runs, each a
-range of keys; ``_run_member`` admits a run's members, which by the lemma
-stated beside it never share a key with each other.  So the search
-buckets the rows and only probes each run's keys against them.
+inverse.  Most torus and cable rows are regular: with b = t*a + r, q_min
+is k*a^2, so at fixed (k, a, eps) their keys and idents are linear in b.
+``_product_rows`` yields the other, irregular rows one by one and hands
+over each (k, a, eps) as a run, a range of keys over its slope window, of
+which ``_run_member`` admits the regular rows; by the lemma stated beside
+it they never share a key with each other.  ``_shared_buckets`` buckets
+the rows of one range of lens orders and only probes each run's keys
+against them; ``_rows`` lists every row, the run members last.  So the
+search sees only shared buckets, and never a run.
 
 The rules that need no object come as functions of (family, params) ints:
 ``_check_knot`` validates a knot, ``_knot_text`` writes it, ``_distinct``
@@ -73,7 +75,6 @@ __all__ = [
     "genus",
     "kplus",
     "lens_surgery",
-    "natural_slope",
     "tangle_hh",
     "tangle_th",
     "torus",
@@ -225,12 +226,12 @@ def _product_rows(offset, width, sign, top, lo, hi, products, runs):
     z > x at r = 1 and m - z > x at r = a - 1 on, every row is regular.
 
     This yields the irregular rows, scanning in from both ends of each block
-    before that one, and appends to ``runs`` at most one run per (k, a, eps),
-    (keys, bs, idents, k, a, eps): bs is the range of b from the least to the
-    largest regular row of the slope window, and keys and idents are the
-    parallel ranges that a regular row at each b would have.  A run spans the
-    irregular and non-coprime b in between as well; ``_run_member`` admits
-    only the regular rows of coprime (a, b), which are the rows not yielded.
+    before that one, and appends to ``runs`` one run (keys, bs, idents, k, a,
+    eps) per (k, a, eps) whose slope window reaches past b = 2a: bs is the
+    range of b of the window from 2a + 1 on, and keys and idents are the
+    parallel ranges that a regular row at each b would have.  A run so spans
+    irregular and non-coprime b as well; ``_run_member`` admits only the
+    regular rows of coprime (a, b), which are the rows not yielded.
     """
     base = _DEN_MAX + 1
     scale = width * base  # ``_key`` is q_min*scale + m*base + n
@@ -250,7 +251,6 @@ def _product_rows(offset, width, sign, top, lo, hi, products, runs):
                 ident = offset + width * a + eps * sign
                 # the first block t whose every row is regular: z > x at r = 1, m - z > x at r = a - 1
                 regular = max(2, (x - k) // (ka - eps) + 1, (x - ka + k - eps) // (ka + eps) + 1)
-                lowest = highest = None  # the least and the largest b of a regular row
                 for t in range(first // a, min(last // a, regular - 1) + 1):
                     ta = t * a
                     low = first if first > ta else ta + 1
@@ -262,9 +262,6 @@ def _product_rows(offset, width, sign, top, lo, hi, products, runs):
                             b += 1
                         while c >= b and k * (ta + a - c) * c + eps * (t + 1) <= x:
                             c -= 1
-                        if b <= c:
-                            lowest = b if lowest is None else lowest
-                            highest = c
                     # the irregular rows of the block: below b and above c
                     for s in itertools.chain(range(low, b), range(c + 1, high + 1)):
                         r = s - ta
@@ -274,14 +271,12 @@ def _product_rows(offset, width, sign, top, lo, hi, products, runs):
                             u = x if x + x < m else m - x
                             v = z if z + z < m else m - z
                             yield (u if u < v else v) * scale + m * base + den, ident + step * s
-                if last > regular * a:
-                    lowest = max(first, regular * a + 1) if lowest is None else lowest
-                    highest = last
-                if lowest is not None:
+                lowest = max(first, 2 * a + 1)  # t >= 2, and b = 2a shares the factor a
+                if lowest <= last:
                     start = x * scale + (ka * lowest + eps) * base + den
-                    stop = start + (highest - lowest + 1) * ka * base
-                    runs.append((range(start, stop, ka * base), range(lowest, highest + 1),
-                                 range(ident + step * lowest, ident + step * (highest + 1), step), k, a, eps))
+                    runs.append((range(start, start + (last - lowest + 1) * ka * base, ka * base),
+                                 range(lowest, last + 1), range(ident + step * lowest, ident + step * (last + 1), step),
+                                 k, a, eps))
 
 
 # Two regular rows never share a key, so the members of the runs of
@@ -425,7 +420,21 @@ def _ident_width(order_max: int) -> int:
     return max(len(_TABLE), order_max + 3)
 
 
-def _rows(config, lo: int, hi: int, runs: list | None = None):
+def _row_stream(config, lo: int, hi: int, runs: list):
+    """The rows of ``_rows`` but the run members: the runs of
+    ``_product_rows`` are appended to ``runs`` as the rows are consumed."""
+    hi = min(hi, config.order_max + 1)
+    width = _ident_width(config.order_max)
+    return itertools.chain.from_iterable(
+        # the offset holds the family index and the + 1 of every parameter digit
+        entry.rows(index + sum(width ** k for k in range(1, entry.arity + 1)), width, entry.slopes,
+                   getattr(config, entry.cap), lo, hi, config.slope_denominators, runs)
+        for index, (family, entry) in enumerate(_TABLE.items())
+        if family in config.families
+    )
+
+
+def _rows(config, lo: int, hi: int):
     """Yield (key, ident) for each knot of each family in ``config.families``
     up to its ``config`` cap and each lens slope m/n with lo <= m <
     min(hi, ``config.order_max`` + 1), giving L(m, q).  Both are plain ints
@@ -436,25 +445,36 @@ def _rows(config, lo: int, hi: int, runs: list | None = None):
     numbers the knot, with the family's index in ``_TABLE`` as its lowest
     digit and each parameter plus one as the next digits, and
     ``_knot_of(ident, width)`` reads it back.  Rows come in no particular
-    order.
+    order: those of ``_row_stream``, then its run members."""
+    runs: list = []
+    # the member generator reads ``runs`` only once the stream is spent
+    return itertools.chain(_row_stream(config, lo, hi, runs), _run_rows(runs))
 
-    Given a list ``runs``, the regular torus and cable rows of
-    ``_product_rows`` are not yielded: their runs are appended to ``runs``
-    as the rows are consumed, and ``_run_member`` admits their members.  No
-    two run members share a key.  Without it, the members follow the rows,
-    so the rows are complete."""
-    hi = min(hi, config.order_max + 1)
-    width = _ident_width(config.order_max)
-    found = [] if runs is None else runs
-    rows = itertools.chain.from_iterable(
-        # the offset holds the family index and the + 1 of every parameter digit
-        entry.rows(index + sum(width ** k for k in range(1, entry.arity + 1)), width, entry.slopes,
-                   getattr(config, entry.cap), lo, hi, config.slope_denominators, found)
-        for index, (family, entry) in enumerate(_TABLE.items())
-        if family in config.families
-    )
-    # the member generator reads ``found`` only once the rows are spent
-    return itertools.chain(rows, _run_rows(found)) if runs is None else rows
+
+def _shared_buckets(config, lo: int, hi: int) -> dict:
+    """The buckets that two or more rows of ``_rows`` of lens order
+    lo <= m < hi share, as {key: [ident, ...]}.
+
+    ``first`` maps each bucket key to the ident of the first row with that
+    key; a list is made only when a second row arrives.  A class with one
+    member, nearly every class, so keeps two ints, which the cyclic garbage
+    collector does not track.  Run members share no key with each other, so
+    each run only probes ``first`` through ``filter`` over its range of
+    keys, and only a hit is admitted by ``_run_member``.
+    """
+    first: dict = {}
+    shared: dict = {}
+    runs: list = []
+    for key, ident in _row_stream(config, lo, hi, runs):
+        other = first.setdefault(key, ident)
+        if other is not ident:  # setdefault hands back this very int only for a new key
+            shared.setdefault(key, [other]).append(ident)
+    for run in runs:
+        for key in filter(first.__contains__, run[0]):
+            ident = _run_member(run, key)
+            if ident is not None:
+                shared.setdefault(key, [first[key]]).append(ident)
+    return shared
 
 
 def _knot_of(ident: int, width: int) -> tuple[str, tuple[int, ...]]:
@@ -508,12 +528,6 @@ def lens_surgery(knot: KnotDescriptor, slope: SurgerySlope) -> SurgeryResult:
         if m == slope.m:
             return Lens(make_lens(m, q))
     return _TABLE[knot.family].other(slope.m, slope.n, *knot.params)
-
-
-def natural_slope(knot: KnotDescriptor) -> SurgerySlope | None:
-    """The knot's one integral lens slope; None for torus knots, which have two."""
-    slopes = _TABLE[knot.family].slopes(1, *knot.params)
-    return SurgerySlope(slopes[0][0]) if len(slopes) == 1 else None
 
 
 def genus(knot: KnotDescriptor) -> int | None:

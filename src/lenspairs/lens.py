@@ -14,15 +14,10 @@ inverse, and ``_lens_text`` writes L(p,q).  They are called directly where
 no object is wanted: ``_reduced_q`` by ``knots._shared_lens_slopes`` and
 by ``dualknot.DualKnotTriple``, ``_same_class`` by the two verify checks
 of ``search``, and ``_lens_text`` by ``search.verify_family``, which
-passes the order as the text it wrote once, and by the ``dual`` command.  The
-coincidence search keys its buckets on the same class, packed into one int
-with the slope by ``knots._rows``, which calls ``_class_min`` for the kplus
-and tangle rows and finds the torus and cable minima in closed form.  For
-the regular torus and cable rows, most of them, the minimum is k*a^2, so
-their keys come as runs in b, and no two of them share a class at one
-slope (the lemma beside ``knots._run_member``); the search only probes
-them.  It makes a ``LensSpace``, through ``knots.lens_surgery``, only for
-a class that two knots share.
+passes the order as the text it wrote once, and by the ``dual`` command.
+The coincidence search keys its buckets on the same class, which
+``knots`` packs into one int with the slope; it makes a ``LensSpace``
+only for a class that two knots share.
 """
 
 from __future__ import annotations
@@ -38,7 +33,6 @@ __all__ = [
     "homeomorphic",
     "make_lens",
     "oriented_homeomorphic",
-    "reverse_orientation",
 ]
 
 
@@ -96,11 +90,6 @@ class LensSpace:
 def make_lens(p: int, q: int) -> LensSpace:
     """Build L(p, q mod p), validating the order and coprimality."""
     return LensSpace(p, _reduced_q(p, q))
-
-
-def reverse_orientation(space: LensSpace) -> LensSpace:
-    """The same space with reversed orientation: q goes to p - q."""
-    return make_lens(space.p, space.p - space.q)
 
 
 def oriented_homeomorphic(first: LensSpace, second: LensSpace) -> bool:

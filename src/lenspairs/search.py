@@ -3,22 +3,14 @@
 The candidates are the knots of the configured families together with
 their designated lens slopes m/n up to the order bound; the lens space of
 m/n-surgery has order m.  ``find_coincidences`` splits the range of m into
-shards that share no bucket.  Each shard takes its own candidates from
-``knots._rows`` as two plain ints each, a bucket key made from (m, n,
-unoriented lens class) and the number of the knot, and only buckets them:
-``knots`` owns the key, its decoder and the class rule.  The regular torus
-and cable rows, most of them, come as runs instead: ranges of keys whose
-members share no key with each other, so each run only probes the
-bucketed keys at C speed, and ``knots._run_member`` checks gcd and
-regularity on a hit alone.  A class with one member keeps only its knot's
-number; a list exists only for a class that two or more rows share, and
-only those become knot and lens-space objects, each member's space its
-``knots.lens_surgery`` at the record's slope.  So a shard holds almost
-nothing that the cyclic garbage collector tracks.  Shards run one at a
-time in this process, or over a pool of ``workers`` processes capped at
-``os.cpu_count()``, started by the platform's default method, or by spawn
-while the caller runs other threads; any worker count gives the same
-records.
+shards that share no bucket, and takes each shard's shared buckets from
+``knots._shared_buckets``: ``knots`` owns the rows, their bucket keys and
+the bucketing.  Only those buckets become knot and lens-space objects,
+each member's space its ``knots.lens_surgery`` at the record's slope.
+Shards run one at a time in this process, or over a pool of ``workers``
+processes capped at ``os.cpu_count()``, started by the platform's default
+method, or by spawn while the caller runs other threads; any worker count
+gives the same records.
 Because the artifact cannot always certify non-equivalence, every record
 carries both its raw member count and the size of its largest subset of
 pairwise certified-distinct members.
@@ -52,6 +44,7 @@ import os
 import threading
 from dataclasses import dataclass, field
 from math import gcd
+from typing import NamedTuple
 
 from .knots import (
     FAMILIES,
@@ -67,7 +60,7 @@ from .knots import (
     _knot_text,
     _reduced_slope,
     _rows,
-    _run_member,
+    _shared_buckets,
     _shared_lens_slopes,
     distinct,
     lens_surgery,
@@ -187,34 +180,6 @@ _SHARDS = 16
 _SHARD_WIDTH = 4096
 
 
-def _shared_buckets(config: SearchConfig, lo: int, hi: int) -> dict:
-    """The buckets that two or more rows of lens order lo <= m < hi share,
-    as {key: [ident, ...]} over the bucket keys and knot numbers of
-    ``knots._rows``.
-
-    ``first`` maps each bucket key to the ident of the first row with that
-    key; a list is made only when a second row arrives.  A class with one
-    member, nearly every class, so keeps two ints, which the cyclic garbage
-    collector does not track.  The regular torus and cable rows come as
-    runs, whose members share no key with each other, so each run only
-    probes ``first`` through ``filter`` over its range of keys, and only a
-    hit is decoded and admitted by ``knots._run_member``.
-    """
-    first: dict = {}
-    shared: dict = {}
-    runs: list = []
-    for key, ident in _rows(config, lo, hi, runs):
-        other = first.setdefault(key, ident)
-        if other is not ident:  # setdefault hands back this very int only for a new key
-            shared.setdefault(key, [other]).append(ident)
-    for run in runs:
-        for key in filter(first.__contains__, run[0]):
-            ident = _run_member(run, key)
-            if ident is not None:
-                shared.setdefault(key, [first[key]]).append(ident)
-    return shared
-
-
 def _shard_records(task) -> list[CoincidenceRecord]:
     """The finished records of one shard (config, lo, hi) of lens orders.
 
@@ -317,8 +282,7 @@ _VERIFY = {
 VERIFY_FAMILIES = tuple(_VERIFY)
 
 
-@dataclass(frozen=True)
-class FamilyCheck:
+class FamilyCheck(NamedTuple):
     family: str
     n: int
     passed: bool
@@ -403,6 +367,8 @@ def verify_no_nonintegral_pairs(p_max: int, n_min: int, n_max: int) -> Nonintegr
     """
     if n_min < 3:
         raise InvalidIndex("meaningful only for slope denominators >= 3")
+    if n_max < n_min:
+        raise InvalidIndex(f"empty denominator range {n_min}..{n_max}")
     by_product: dict[int, list] = {}
     for p in range(3, p_max + 1):
         for q in range(2, p):

@@ -29,7 +29,7 @@ from lenspairs.knots import (
     torus,
 )
 from lenspairs.knots import _key, _ident_width
-from lenspairs.lens import make_lens
+from lenspairs.lens import LensSpace, make_lens
 from lenspairs.sequences import InvalidIndex, fib, pair
 
 
@@ -196,6 +196,11 @@ def lens_surgery(knot: KnotDescriptor, slope: SurgerySlope):
             )
         return NotLens("slope-condition-fails")
     return NotLens("unknown-for-family")
+
+
+def reverse_orientation(space: LensSpace) -> LensSpace:
+    """The same space with reversed orientation: q goes to p - q."""
+    return make_lens(space.p, space.p - space.q)
 
 
 def natural_slope(knot: KnotDescriptor) -> SurgerySlope | None:

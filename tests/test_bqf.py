@@ -19,12 +19,16 @@ from lenspairs.bqf import (
     fundamental_unit,
     generate_solutions,
     orbit_representatives,
-    window_bound,
 )
 from oracles import solutions_in_box, unit_matrix, unit_norm
 
 F = QuadForm(1, -6, 1)  # discriminant 32
 G = QuadForm(1, -6, -1)  # discriminant 40
+
+
+def window_bound(form, m):
+    # the window that orbit_representatives reads, for the form's fundamental unit
+    return bqf._window(form, m, fundamental_unit(form.delta))
 
 
 def naive_box(form, m, bound):

@@ -13,12 +13,12 @@ from lenspairs.knots import (
     genus,
     kplus,
     lens_surgery,
-    natural_slope,
     tangle_hh,
     tangle_th,
     torus,
 )
 from lenspairs.lens import homeomorphic, make_lens, oriented_homeomorphic
+from oracles import natural_slope
 
 
 def test_descriptor_text_forms():

@@ -11,8 +11,8 @@ from lenspairs.lens import (
     homeomorphic,
     make_lens,
     oriented_homeomorphic,
-    reverse_orientation,
 )
+from oracles import reverse_orientation
 
 
 def random_lens(rng, p_max):

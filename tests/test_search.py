@@ -178,6 +178,52 @@ def test_no_ci_bound_record_holds_two_cables(ci_records):
     assert not [r for r in ci_records if sum(knot.family == "cable" for knot, _ in r.members) >= 2]
 
 
+# the six verified constructions with their first n, and the search bound on each family's parameters
+CONSTRUCTIONS = {"torus_torus": 1, "torus_torus_half": 1, "torus_cable": 1, "cable_kplus": 3,
+                 "tangle_kplus": 1, "torus_tangle": 1}
+CAPS = {"torus": "torus_max", "cable": "cable_max", "kplus": "kplus_max", "tangleHH": "tangle_max",
+        "tangleTH": "tangle_max"}
+
+
+def _unmatched_instances(config, records):
+    """(instances, misses): each instance of a construction, by the paper's formulas in
+    ``oracles.family_pair``, whose slope and knots lie within the search bounds, and those of
+    them whose two knots are not members of one record at their slope."""
+    members = {}
+    for record in records:
+        knots_of = {(knot.family, knot.params) for knot, _ in record.members}
+        members.setdefault(record.slope, []).append(knots_of)
+    instances, misses = [], []
+    for construction, n in CONSTRUCTIONS.items():
+        while True:
+            first, second, slope = oracles.family_pair(construction, n)
+            if slope.m > config.order_max:  # every construction's slope grows with n
+                break
+            # the search lists the symmetric families with their first two parameters ascending
+            pair = {(knot.family, (*sorted(knot.params[:2]), *knot.params[2:])) for knot in (first, second)}
+            if slope.n in config.slope_denominators and all(
+                    family in config.families and max(params[:2]) <= getattr(config, CAPS[family])
+                    for family, params in pair):
+                instances.append((construction, n))
+                if not any(pair <= found for found in members.get(slope, [])):
+                    misses.append((construction, n))
+            n += 1
+    return instances, misses
+
+
+def test_every_in_bound_construction_instance_is_a_record(ci_records):
+    # the converse of verify: the search finds each instance of the six constructions in its bounds
+    instances, misses = _unmatched_instances(SearchConfig(**CI_BOUNDS), ci_records)
+    assert len(instances) == 193 and misses == []
+
+
+def test_every_construction_instance_to_order_200000_is_a_record():
+    config = SearchConfig(order_max=200000, torus_max=200000, cable_max=200000, kplus_max=300, tangle_max=200,
+                          slope_denominators={1, 2, 3})
+    instances, misses = _unmatched_instances(config, find_coincidences(config))
+    assert len(instances) == 372 and misses == []
+
+
 def test_bucket_keys_keep_slopes_of_one_order_apart():
     # at order 2911, torus(15,194) at slope 2911/1 and torus(13,14) at 2911/16
     # give one lens class, but no slope: the int bucket key must keep them apart
@@ -225,7 +271,7 @@ def test_shard_buckets_match_the_per_row_closed_form(bounds):
         for key, ident in itertools.chain(oracles.product_rows(config, lo, hi), knots._rows(others, lo, hi)):
             buckets.setdefault(key, []).append(ident)
         expected = {key: sorted(idents) for key, idents in buckets.items() if len(idents) >= 2}
-        got = {key: sorted(idents) for key, idents in search._shared_buckets(config, lo, hi).items()}
+        got = {key: sorted(idents) for key, idents in knots._shared_buckets(config, lo, hi).items()}
         assert got == expected, (lo, hi)
 
 
@@ -511,6 +557,12 @@ def test_no_nonintegral_pairs_empty_scan_passes():
 def test_no_nonintegral_pairs_rejects_small_n():
     with pytest.raises(InvalidIndex):
         verify_no_nonintegral_pairs(40, 2, 6)
+
+
+def test_no_nonintegral_pairs_rejects_an_empty_denominator_range():
+    # with n_max below n_min the scan would check nothing and still report clean
+    with pytest.raises(InvalidIndex):
+        verify_no_nonintegral_pairs(60, 8, 3)
 
 
 def test_mixed_family_product_congruences():
