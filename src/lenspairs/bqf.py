@@ -23,14 +23,13 @@ classes, not W.  Both methods walk one continued-fraction recurrence,
 Every loop ends on a proven period or orbit bound, never on an iteration
 count.
 
-Everything is exact: W is handled as the rational W^2 plus its integer floor,
-and no float appears anywhere.
+Everything is exact: W is handled as its integer floor, taken by ``isqrt``,
+and whether it is an integer, and no float appears anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, isqrt
 from typing import NamedTuple
 
@@ -145,33 +144,19 @@ def fundamental_unit(delta: int) -> UnitElement:
     return UnitElement(delta, p - q, q)
 
 
-class _WindowBound(NamedTuple):
-    """The window [0, W] on y that holds one representative per orbit.
+def _window(form: QuadForm, m: int, unit: UnitElement) -> tuple[int, int | None]:
+    """(floor of W, W or None): the window 0 <= y <= W holds one
+    representative per orbit, and W itself comes only when it is an integer.
 
-    W is carried exactly as its square (a rational) plus the integer floor.
-    """
-
-    w_squared: Fraction
-    floor: int
-
-    @property
-    def exact(self) -> int | None:
-        """W itself when it is an integer, else None."""
-        if self.w_squared.denominator != 1:
-            return None
-        return is_perfect_square(self.w_squared.numerator)
-
-
-def _window(form: QuadForm, m: int, unit: UnitElement) -> _WindowBound:
-    """W^2 = |A m (t -+ 2) / D| where t is the trace of the fundamental ``unit``.
-
-    The sign is - for A*m > 0 and + for A*m < 0.
+    W^2 = N/D with N = |A m (t -+ 2)|, where t is the trace of the
+    fundamental ``unit``; the sign is - for A*m > 0 and + for A*m < 0.  Its
+    floor is isqrt(N*D) // D, and W is that floor exactly when floor^2 * D = N.
     """
     t = unit.trace()
     shift = -2 if form.A * m > 0 else 2
-    w_squared = Fraction(abs(form.A * m * (t + shift)), form.delta)
-    floor = isqrt(w_squared.numerator * w_squared.denominator) // w_squared.denominator
-    return _WindowBound(w_squared, floor)
+    n, delta = abs(form.A * m * (t + shift)), form.delta
+    floor = isqrt(n * delta) // delta
+    return floor, floor if floor * floor * delta == n else None
 
 
 def orbit_representatives(form: QuadForm, m: int) -> list[FormSolution]:
@@ -190,21 +175,21 @@ def _representatives(form: QuadForm, m: int, unit: UnitElement) -> list[FormSolu
     # orbit_representatives for an already computed fundamental unit: every
     # solution is +-unit^k times a class seed, and each orbit is walked into
     # the window from its seed
-    window = _window(form, m, unit)
+    top, exact = _window(form, m, unit)
     a, b = form.A, form.B
     points = set()
     for s, y in _pell_classes(form.delta, 4 * a * m):
         if (s - b * y) % (2 * a) == 0:
             x = (s - b * y) // (2 * a)
             for seed in (FormSolution(x, y), FormSolution(-x, -y)):
-                points.update(_orbit_in_window(form, seed, unit, window.floor))
+                points.update(_orbit_in_window(form, seed, unit, top))
     by_y: dict[int, list[int]] = {}
     for x, y in points:
         by_y.setdefault(y, []).append(x)
     reps = []
     for y in sorted(by_y):
         roots = sorted(by_y[y])
-        if y == 0 or y == window.exact:
+        if y == 0 or y == exact:
             roots = [min(roots, key=lambda x: (abs(x), x < 0))]
         reps.extend(FormSolution(x, y) for x in roots)
     return reps

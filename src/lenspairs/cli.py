@@ -19,7 +19,7 @@ import sys
 from . import bqf, search
 from .dualknot import basic_stats, kplus_dual
 from .knots import FAMILIES, KnotDescriptor, Lens, ReducibleTwoLens, SurgerySlope, kplus, lens_surgery
-from .lens import _lens_text, homeomorphic, make_lens, oriented_homeomorphic
+from .lens import LensSpace, homeomorphic, make_lens, oriented_homeomorphic
 from .sequences import IDENTITIES, check_identity
 
 
@@ -95,7 +95,7 @@ def _cmd_dual(args) -> int:
         {"knot": str(knot), "p": triple.p, "q": triple.q, "k": triple.k,
          "h": stats.h, "s": stats.s, "ell": stats.ell, "s_prime": stats.s_prime,
          "ell_prime": stats.ell_prime, "phi": stats.phi, "hyperbolic": hyperbolic},
-        f"{knot}: dual knot in {_lens_text(triple.p, triple.q)} with k={triple.k}\n"
+        f"{knot}: dual knot in {LensSpace(triple.p, triple.q)} with k={triple.k}\n"
         f"h={stats.h} s={stats.s} ell={stats.ell} s'={stats.s_prime} ell'={stats.ell_prime} "
         f"phi={stats.phi}\n"
         f"{'hyperbolic (phi >= 2)' if hyperbolic else 'not hyperbolic (phi < 2)'}",

@@ -21,32 +21,22 @@ Five families are modelled, each by a small tuple of positive integers:
 search and the command line.  Adding a family means adding one entry and
 one constructor; a family whose ``cap`` is new also needs that one
 ``SearchConfig`` field, and the command line derives its ``--*-max`` flag
-from the field.  Only this module reads an entry's lens slopes: one knot's
-through ``lens_surgery``, the search's rows through ``_rows``, and the
-slopes two knots share at one denominator, with both parameters validated
-and reduced, through ``_shared_lens_slopes``.
+from the field.
 
-A search row is two ints.  Its bucket key, which ``_key`` packs and
-``_key_parts`` reads back, holds the slope m/n and q_min, the least
-parameter of the unoriented class of the lens space; its ``ident``, which
-``_knot_of`` reads back, numbers the knot.  Torus and cable rows come from
-one generator, ``_product_rows``, which finds q_min in closed form; the
-kplus and tangle rows take ``lens._class_min`` of the parameter and its
-inverse.  Most torus and cable rows are regular: with b = t*a + r, q_min
-is k*a^2, so at fixed (k, a, eps) their keys and idents are linear in b.
-``_product_rows`` yields the other, irregular rows one by one and hands
-over each (k, a, eps) as a run, a range of keys over its slope window, of
-which ``_run_member`` admits the regular rows; by the lemma stated beside
-it they never share a key with each other.  ``_shared_buckets`` buckets
-the rows of one range of lens orders and only probes each run's keys
-against them; ``_rows`` lists every row, the run members last.  So the
-search sees only shared buckets, and never a run.
+Only this module reads the table's lens slopes and the search rows made
+from them.  Its entry points on (family, params) ints, for callers that
+make no knot object: ``_check_knot``, ``_knot_text`` and ``_distinct``
+validate, write and tell apart knots; ``_shared_lens_slopes`` checks a pair
+of knots at one slope denominator; ``_surgeries`` lists every knot and lens
+slope of a search, and ``_shared_buckets`` the lens classes that two or
+more of them share within a range of orders.
 
-The rules that need no object come as functions of (family, params) ints:
-``_check_knot`` validates a knot, ``_knot_text`` writes it, ``_distinct``
-decides two knots apart and ``_shared_lens_slopes`` finds their common lens
-slopes.  ``KnotDescriptor`` and ``distinct`` apply the first three, and the
-verify checks of ``search`` call all four directly, with no descriptor.
+A search row is two ints: a key that packs the slope m/n and q_min, the
+least parameter of the unoriented class of its lens space, and an ident
+that numbers the knot.  ``_product_rows`` makes the torus and cable rows
+with q_min in closed form, most of them as runs of keys linear in b, which
+``_shared_buckets`` only probes against the other rows; the kplus and
+tangle rows take ``lens._class_min``.
 
 Only right-handed representatives and positive slopes are modelled; mirror
 images are out of scope.
@@ -60,7 +50,7 @@ from dataclasses import dataclass
 from math import gcd, isqrt
 
 from .dualknot import _KPLUS_RULE, _kplus_pqk, _kplus_valid, kplus_is_hyperbolic
-from .lens import LensSpace, _class_min, _reduced_q, make_lens
+from .lens import LensSpace, _class_min, _reduced_q, _same_class, make_lens
 
 __all__ = [
     "FAMILIES",
@@ -402,6 +392,9 @@ _TABLE = {
         genus=lambda n: (27 * n * n + 33 * n + 10) // 2,
         not_torus=True,  # hyperbolic by construction, which no certificate here checks
     ),
+    # Known defect, kept as data: L(m, -(18n+19)) has a non-integral Casson-Walker a2 for every
+    # n, so no knot in S^3 gives it by +m surgery; its mirror L(m, 18n+19) gives the a2 of the
+    # torus_tangle partner.  Unoriented answers, the search and verify, do not depend on it.
     "tangleTH": _Family(
         arity=1, text="tangleTH({})", rows=_index_rows, cap="tangle_max",
         valid=lambda n: n >= 1, rule="index must be >= 1",
@@ -439,21 +432,32 @@ def _rows(config, lo: int, hi: int):
     up to its ``config`` cap and each lens slope m/n with lo <= m <
     min(hi, ``config.order_max`` + 1), giving L(m, q).  Both are plain ints
     in base ``width`` = ``_ident_width(config.order_max)``: ``key`` packs
-    (m, n, q_min), q_min the least of ±q and ±q^-1 mod m, which
-    ``_key_parts(key, width)`` reads back, so two rows share a key exactly
-    when they share the slope and the unoriented lens class.  ``ident``
-    numbers the knot, with the family's index in ``_TABLE`` as its lowest
-    digit and each parameter plus one as the next digits, and
-    ``_knot_of(ident, width)`` reads it back.  Rows come in no particular
-    order: those of ``_row_stream``, then its run members."""
+    (m, n, q_min), q_min the least of ±q and ±q^-1 mod m, so two rows share
+    a key exactly when they share the slope and the unoriented lens class;
+    ``ident`` holds the family's index in ``_TABLE`` as its lowest digit and
+    each parameter plus one as the next digits.  ``_key_parts`` and
+    ``_knot_of`` read them back.  Rows come in no particular order: those of
+    ``_row_stream``, then its run members."""
     runs: list = []
     # the member generator reads ``runs`` only once the stream is spent
     return itertools.chain(_row_stream(config, lo, hi, runs), _run_rows(runs))
 
 
-def _shared_buckets(config, lo: int, hi: int) -> dict:
-    """The buckets that two or more rows of ``_rows`` of lens order
-    lo <= m < hi share, as {key: [ident, ...]}.
+def _surgeries(config) -> list:
+    """(family, params, n, m), sorted, for each row of ``_rows`` over every
+    order of ``config``: each knot with each of its lens slopes m/n."""
+    width = _ident_width(config.order_max)
+    surgeries = []
+    for key, ident in _rows(config, 1, config.order_max + 1):
+        m, n, _ = _key_parts(key, width)
+        surgeries.append((*_knot_of(ident, width), n, m))
+    return sorted(surgeries)
+
+
+def _shared_buckets(config, lo: int, hi: int) -> list:
+    """The classes that two or more rows of ``_rows`` of lens order
+    lo <= m < hi share, as (m, n, q_min, [(family, params), ...]) with the
+    members in (family, params) order.
 
     ``first`` maps each bucket key to the ident of the first row with that
     key; a list is made only when a second row arrives.  A class with one
@@ -474,7 +478,9 @@ def _shared_buckets(config, lo: int, hi: int) -> dict:
             ident = _run_member(run, key)
             if ident is not None:
                 shared.setdefault(key, [first[key]]).append(ident)
-    return shared
+    width = _ident_width(config.order_max)
+    return [(*_key_parts(key, width), sorted(_knot_of(ident, width) for ident in idents))
+            for key, idents in shared.items()]
 
 
 def _knot_of(ident: int, width: int) -> tuple[str, tuple[int, ...]]:
@@ -504,10 +510,13 @@ def _knot_text(family: str, params: tuple) -> str:
 
 
 def _shared_lens_slopes(family1: str, params1: tuple, family2: str, params2: tuple, den: int) -> list:
-    """(m, q1, q2) for each lens slope m/den of both knots, where the first
-    knot gives L(m, q1) and the second L(m, q2); ``lens._reduced_q``
-    validates and reduces both parameters, so q1 and q2 are as a
-    ``LensSpace`` stores them.  The slopes come in the first knot's order."""
+    """(m, q1, q2, same) for each lens slope m/den of both knots, once
+    ``_check_knot`` has passed each: the first knot gives L(m, q1) and the
+    second L(m, q2), both parameters validated and reduced as ``make_lens``
+    does, and ``same`` tells whether the two spaces are homeomorphic.  The
+    slopes come in the first knot's order."""
+    _check_knot(family1, params1)
+    _check_knot(family2, params2)
     one = _TABLE[family1].slopes(den, *params1)
     two = _TABLE[family2].slopes(den, *params2)
     shared = []
@@ -516,7 +525,8 @@ def _shared_lens_slopes(family1: str, params1: tuple, family2: str, params2: tup
     for m, q1 in one:
         for order, q2 in two:
             if order == m:
-                shared.append((m, _reduced_q(m, q1), _reduced_q(m, q2)))
+                r1, r2 = _reduced_q(m, q1), _reduced_q(m, q2)
+                shared.append((m, r1, r2, _same_class(m, r1, r2)))
     return shared
 
 

@@ -6,18 +6,10 @@ orientation-preservingly homeomorphic when the parameters agree or are
 inverse mod p, and homeomorphic (orientation ignored) when they agree up
 to both sign and inversion.  The predicates decide this with one product
 mod p and no modular inverse; ``canonical_form`` names the class as a
-dictionary key.  The rules also come as functions of plain ints, which
-``LensSpace``, ``make_lens``, ``homeomorphic`` and ``canonical_form``
-apply: ``_reduced_q`` validates and reduces a parameter, ``_same_class``
-compares two, ``_class_min`` names the class from a parameter and its
-inverse, and ``_lens_text`` writes L(p,q).  They are called directly where
-no object is wanted: ``_reduced_q`` by ``knots._shared_lens_slopes`` and
-by ``dualknot.DualKnotTriple``, ``_same_class`` by the two verify checks
-of ``search``, and ``_lens_text`` by ``search.verify_family``, which
-passes the order as the text it wrote once, and by the ``dual`` command.
-The coincidence search keys its buckets on the same class, which
-``knots`` packs into one int with the slope; it makes a ``LensSpace``
-only for a class that two knots share.
+dictionary key.  The rules also come as functions of plain ints, for
+callers that want no object: ``_reduced_q`` validates and reduces a
+parameter, ``_same_class`` compares two, ``_class_min`` names the class
+from a parameter and its inverse, and ``_lens_text`` writes L(p,q).
 """
 
 from __future__ import annotations

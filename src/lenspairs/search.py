@@ -1,39 +1,31 @@
 """Exhaustive surgery enumeration, coincidence detection, and family checks.
 
-The candidates are the knots of the configured families together with
-their designated lens slopes m/n up to the order bound; the lens space of
-m/n-surgery has order m.  ``find_coincidences`` splits the range of m into
-shards that share no bucket, and takes each shard's shared buckets from
-``knots._shared_buckets``: ``knots`` owns the rows, their bucket keys and
-the bucketing.  Only those buckets become knot and lens-space objects,
-each member's space its ``knots.lens_surgery`` at the record's slope.
-Shards run one at a time in this process, or over a pool of ``workers``
-processes capped at ``os.cpu_count()``, started by the platform's default
-method, or by spawn while the caller runs other threads; any worker count
-gives the same records.
-Because the artifact cannot always certify non-equivalence, every record
-carries both its raw member count and the size of its largest subset of
-pairwise certified-distinct members.
-``enumerate_surgeries`` yields the same candidates as (knot, slope, lens
-space) objects in a fixed deterministic order.
+This module runs the orchestration: shards, the process pool, records and
+the verify reports.  ``knots`` owns the search rows, their encoding and
+the rules for a pair of knots.
+
+``find_coincidences`` splits the lens orders m into shards that share no
+bucket and takes each shard's shared classes from ``knots._shared_buckets``,
+already decoded into slopes, classes and (family, params) members; only
+those become knot and lens-space objects.  Shards run one at a time in this
+process, or over a pool of ``workers`` processes capped at
+``os.cpu_count()``, started by the platform's default method, or by spawn
+while the caller runs other threads; any worker count gives the same
+records.  Because the artifact cannot always certify non-equivalence, every
+record carries both its raw member count and the size of its largest subset
+of pairwise certified-distinct members.  ``enumerate_surgeries`` yields the
+same candidates as (knot, slope, lens space) objects in a fixed
+deterministic order.
 
 ``verify_family`` checks, instance by instance, the six constructions of
-knot pairs sharing a surgery slope and a lens space.  Each construction
-names only its two knots, as (family, params) ints, and the slope
-denominator; one that follows the Fibonacci or Pell numbers takes them
-from ``sequences._walk``, which steps through a run of consecutive n by
-additions.  ``verify_no_nonintegral_pairs`` confirms at desk scale that two
-distinct torus knots never share a lens space under a common slope of
-denominator three or more.  Both ask one question of two knots, and answer
-it on plain ints with the int-level rules of ``knots``: ``_check_knot``
-validates each knot, ``_shared_lens_slopes`` lists the lens slopes m/den
-the two have in common, read from the family table, with both lens
-parameters validated and reduced, ``lens._same_class`` compares them, and
-``_distinct`` certifies the knots apart.  A verify witness writes the knots
-by ``knots._knot_text``, reduces its slope by ``knots._reduced_slope``, as
-``SurgerySlope`` does, and converts m to text once for the slope and both
-lens spaces.  No knot, lens-space or slope object is made per check, and
-this module reads no table slope itself.
+knot pairs sharing a surgery slope and a lens space; each names its two
+knots as (family, params) ints and the slope denominator, and one that
+follows the Fibonacci or Pell numbers takes them from ``sequences._walk``.
+``verify_no_nonintegral_pairs`` confirms at desk scale that two distinct
+torus knots never share a lens space under a common slope of denominator
+three or more.  Both take from ``knots._shared_lens_slopes`` the slopes
+that two knots share and whether their spaces there are homeomorphic, and
+make no knot, lens-space or slope object per check.
 """
 
 from __future__ import annotations
@@ -52,20 +44,16 @@ from .knots import (
     SurgerySlope,
     _DEN_MAX,
     _TABLE,
-    _check_knot,
     _distinct,
-    _ident_width,
-    _key_parts,
-    _knot_of,
     _knot_text,
     _reduced_slope,
-    _rows,
     _shared_buckets,
     _shared_lens_slopes,
+    _surgeries,
     distinct,
     lens_surgery,
 )
-from .lens import LensSpace, _lens_text, _same_class
+from .lens import LensSpace, _lens_text
 from .sequences import InvalidIndex, _walk
 
 __all__ = [
@@ -112,12 +100,7 @@ class SearchConfig:
 
 def enumerate_surgeries(config: SearchConfig):
     """Yield (knot, slope, lens space) in deterministic (family, params, slope) order."""
-    width = _ident_width(config.order_max)
-    decoded = []
-    for key, ident in _rows(config, 1, config.order_max + 1):
-        m, n, _ = _key_parts(key, width)
-        decoded.append((*_knot_of(ident, width), n, m))
-    for family, params, n, m in sorted(decoded):
+    for family, params, n, m in _surgeries(config):
         knot, slope = KnotDescriptor(family, params), SurgerySlope(m, n)
         yield knot, slope, lens_surgery(knot, slope).space
 
@@ -181,24 +164,14 @@ _SHARD_WIDTH = 4096
 
 
 def _shard_records(task) -> list[CoincidenceRecord]:
-    """The finished records of one shard (config, lo, hi) of lens orders.
-
-    Only the shared buckets are decoded into knots, and each member's lens
-    space is its ``lens_surgery`` at the record's slope.
-    """
-    config, lo, hi = task
-    width = _ident_width(config.order_max)
+    """The finished records of one shard (config, lo, hi) of lens orders,
+    each member's lens space its ``lens_surgery`` at the record's slope."""
     records = []
-    for key, idents in _shared_buckets(config, lo, hi).items():
-        m, n, q_min = _key_parts(key, width)
+    for m, n, q_min, members in _shared_buckets(*task):
         # a row's m and n are coprime, so the slope is the one that made the row
         slope = SurgerySlope(m, n)
-        members = []
-        # in (family, params) order, the enumeration order
-        for family, params in sorted(_knot_of(ident, width) for ident in idents):
-            knot = KnotDescriptor(family, params)
-            members.append((knot, lens_surgery(knot, slope).space))
-        records.append(CoincidenceRecord(slope, (m, q_min), tuple(members)))
+        knots = [KnotDescriptor(family, params) for family, params in members]
+        records.append(CoincidenceRecord(slope, (m, q_min), tuple((k, lens_surgery(k, slope).space) for k in knots)))
     return records
 
 
@@ -269,7 +242,7 @@ def _fibonacci_cable_kplus(n, fib):
 # Each verified construction: its first n, its slope denominator, the sequence
 # that ``sequences._walk`` walks for it (or None), and the two knots of instance
 # n as (family, params), from n and, for a walked construction, the walk's pair
-# at n.  The shared slope is read off ``knots._TABLE`` by ``knots._shared_lens_slopes``.
+# at n.
 _VERIFY = {
     "torus_torus": (1, 1, "fibonacci", _fibonacci_tori),
     "torus_torus_half": (1, 2, "pell", _pell_tori),
@@ -325,15 +298,13 @@ def verify_family(family: str, n_range) -> FamilyReport:
     instances = map(knots_of, ns, _walk(walk, ns)) if walk else map(knots_of, ns)
     checks = []
     for n, ((family1, params1), (family2, params2)) in zip(ns, instances):
-        _check_knot(family1, params1)
-        _check_knot(family2, params2)
         shared = _shared_lens_slopes(family1, params1, family2, params2, den)
         knots = f"{_knot_text(family1, params1)} & {_knot_text(family2, params2)}"
         if len(shared) != 1:
             checks.append(FamilyCheck(family, n, False, f"{knots} share {len(shared)} lens slopes m/{den}, not one"))
             continue
-        ((m, q1, q2),) = shared
-        ok = _same_class(m, q1, q2) and _distinct(family1, params1, family2, params2) == "distinct"
+        ((m, q1, q2, same),) = shared
+        ok = same and _distinct(family1, params1, family2, params2) == "distinct"
         slope_m, slope_n = _reduced_slope(m, den)
         # m is written once, for the slope when it is the slope's numerator and for both lens spaces
         text = str(m)
@@ -363,8 +334,11 @@ def verify_no_nonintegral_pairs(p_max: int, n_min: int, n_max: int) -> Nonintegr
     products and 2 <= q < p <= p_max, 2 <= s < r < p, and every denominator
     n in [n_min, n_max], the lens spaces of the two torus knots at each of
     their shared lens slopes m/n are compared; any homeomorphic pair is a
-    violation.  Each compared slope counts as checked.
+    violation.  Each compared slope counts as checked.  p_max is at least
+    10, the least bound with two such pairs (6*5 = 10*3).
     """
+    if p_max < 10:
+        raise InvalidIndex(f"no two torus knots share a product below p_max = 10, got {p_max}")
     if n_min < 3:
         raise InvalidIndex("meaningful only for slope denominators >= 3")
     if n_max < n_min:
@@ -382,11 +356,9 @@ def verify_no_nonintegral_pairs(p_max: int, n_min: int, n_max: int) -> Nonintegr
         for (r, s), (p, q) in itertools.combinations(sorted(group), 2):
             # sorted puts the smaller first coordinate first, so r < p
             pairs.append(((p, q), (r, s)))
-            _check_knot("torus", (p, q))
-            _check_knot("torus", (r, s))
             for n in range(n_min, n_max + 1):
-                for m, q_lens, s_lens in _shared_lens_slopes("torus", (p, q), "torus", (r, s), n):
+                for m, _, _, same in _shared_lens_slopes("torus", (p, q), "torus", (r, s), n):
                     checked += 1
-                    if _same_class(m, q_lens, s_lens):
+                    if same:
                         violations.append((p, q, r, s, n, m))
     return NonintegralReport(tuple(pairs), checked, tuple(violations))

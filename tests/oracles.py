@@ -4,12 +4,15 @@ The walks and the box scan materialise every term, so they are only fit
 for small inputs.  The family rules restate, one if-chain per question,
 what the family table of ``lenspairs.knots`` answers, and ``family_pair``
 states the knots and the shared slope of each verified construction by the
-paper's formulas.  ``product_rows`` makes the torus and cable search rows
-one knot at a time, as the search did before it probed runs of them."""
+paper's formulas.  ``surgery_a2`` reads the knot invariant a2 off the
+oriented lens space of a surgery, by Dedekind sums.  ``product_rows`` makes
+the torus and cable search rows one knot at a time, as the search did
+before it probed runs of them."""
 
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from math import gcd, isqrt
 
 from lenspairs.bqf import FormSolution, QuadForm, UnitElement
@@ -142,6 +145,34 @@ def pell_loop(n: int) -> tuple[int, int]:
     for _ in range(n - 1):
         a, b = a + b, 2 * a + b
     return a, b
+
+
+def dedekind_sum(h: int, k: int) -> Fraction:
+    """s(h, k) for k >= 1 and gcd(h, k) = 1, by reciprocity in O(log k) steps:
+    s(h, k) depends on h only mod k, s(0, 1) = 0, and for coprime h, k >= 1
+    s(h, k) + s(k, h) = (h/k + k/h + 1/(hk))/12 - 1/4 (Rademacher and
+    Grosswald, *Dedekind Sums*, 1972)."""
+    total, sign = Fraction(0), 1
+    h %= k
+    while h:
+        total += sign * (Fraction(h * h + k * k + 1, 12 * h * k) - Fraction(1, 4))
+        sign = -sign
+        h, k = k % h, h
+    return total
+
+
+def surgery_a2(m: int, n: int, q: int) -> Fraction:
+    """a2 = Delta''(1)/2 of a knot in S^3 whose m/n-surgery, m/n reduced, is
+    the oriented L(m, q), by the Casson-Walker invariant: lambda(L(p, q)) =
+    -s(q, p)/2 and lambda(S^3_{m/n}(K)) = lambda(L(m, n)) + (n/m)*a2(K)
+    (Walker, *An extension of Casson's invariant*, 1992; Boyer and Lines,
+    J. reine angew. Math. 405, 1990).  For a knot in S^3 it is an integer."""
+    return Fraction(m, n) * (dedekind_sum(n, m) - dedekind_sum(q, m)) / 2
+
+
+def torus_a2(p: int, q: int) -> Fraction:
+    """a2 of the (p, q)-torus knot, in closed form."""
+    return Fraction((p * p - 1) * (q * q - 1), 24)
 
 
 # The per-family rules of lenspairs.knots as one if-chain per question, the

@@ -1,6 +1,5 @@
 import itertools
 import random
-from fractions import Fraction
 from math import gcd, isqrt
 
 import pytest
@@ -58,11 +57,11 @@ def walk_representatives(form, m):
     # the y-window walk, the oracle for orbit_representatives: at y = 0 and
     # y = W the two roots share an orbit, and the one with the smaller |x|
     # (then the positive one) represents it
-    window = window_bound(form, m)
+    top, exact = window_bound(form, m)
     reps = []
-    for y, group in itertools.groupby(window_solutions(form, m, window.floor), key=lambda sol: sol.y):
+    for y, group in itertools.groupby(window_solutions(form, m, top), key=lambda sol: sol.y):
         group = list(group)
-        if y == 0 or y == window.exact:
+        if y == 0 or y == exact:
             group = [min(group, key=lambda sol: (abs(sol.x), sol.x < 0))]
         reps.extend(group)
     return reps
@@ -157,14 +156,12 @@ def test_closed_form_units():
 
 
 def test_window_bound():
-    assert window_bound(F, 1).w_squared == Fraction(4, 32)
-    assert window_bound(F, 1).floor == 0
-    assert window_bound(F, -1).w_squared == Fraction(8, 32)
-    assert window_bound(F, -1).floor == 0
-    assert window_bound(G, 1).floor == 0
-    bound = window_bound(G, -1)
-    assert bound.w_squared == Fraction(1)
-    assert bound.floor == 1 and bound.exact == 1
+    # (floor of W, W when it is an integer): W^2 is 4/32, 8/32, then 1
+    assert window_bound(F, 1) == (0, None)
+    assert window_bound(F, -1) == (0, None)
+    assert window_bound(G, 1)[0] == 0
+    floor, exact = window_bound(G, -1)
+    assert floor == 1 and exact == 1
 
 
 def test_orbit_representatives():
@@ -192,10 +189,9 @@ def test_representatives_match_window_walk():
         delta = b * b - 4 * a * c
         hypothesis.assume(delta > 0 and is_perfect_square(delta) is None)
         form = QuadForm(a, b, c)
-        window = window_bound(form, m)
-        hypothesis.assume(window.floor <= 3000)
+        top, _ = window_bound(form, m)
+        hypothesis.assume(top <= 3000)
         assert orbit_representatives(form, m) == walk_representatives(form, m)
-        top = window.floor
         if top <= 100:
             # |x| <= (|b| y + sqrt(delta y^2 + 4|a m|)) / 2|a| on the window
             bound = max(top, (abs(b) * top + isqrt(delta * top * top + 4 * abs(a * m))) // (2 * abs(a)) + 1)

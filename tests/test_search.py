@@ -185,29 +185,39 @@ CAPS = {"torus": "torus_max", "cable": "cable_max", "kplus": "kplus_max", "tangl
         "tangleTH": "tangle_max"}
 
 
-def _unmatched_instances(config, records):
-    """(instances, misses): each instance of a construction, by the paper's formulas in
-    ``oracles.family_pair``, whose slope and knots lie within the search bounds, and those of
-    them whose two knots are not members of one record at their slope."""
-    members = {}
-    for record in records:
-        knots_of = {(knot.family, knot.params) for knot, _ in record.members}
-        members.setdefault(record.slope, []).append(knots_of)
-    instances, misses = [], []
+def _canonical(knot):
+    # the search lists the symmetric families with their first two parameters ascending
+    return knot.family, (*sorted(knot.params[:2]), *knot.params[2:])
+
+
+def _in_bound_instances(config):
+    """(construction, n, slope, pair) for each instance of a construction, by the paper's
+    formulas in ``oracles.family_pair``, whose slope and knots lie within the search bounds;
+    pair is the set of its two knots as (family, canonical params)."""
     for construction, n in CONSTRUCTIONS.items():
         while True:
             first, second, slope = oracles.family_pair(construction, n)
             if slope.m > config.order_max:  # every construction's slope grows with n
                 break
-            # the search lists the symmetric families with their first two parameters ascending
-            pair = {(knot.family, (*sorted(knot.params[:2]), *knot.params[2:])) for knot in (first, second)}
+            pair = {_canonical(first), _canonical(second)}
             if slope.n in config.slope_denominators and all(
                     family in config.families and max(params[:2]) <= getattr(config, CAPS[family])
                     for family, params in pair):
-                instances.append((construction, n))
-                if not any(pair <= found for found in members.get(slope, [])):
-                    misses.append((construction, n))
+                yield construction, n, slope, pair
             n += 1
+
+
+def _unmatched_instances(config, records):
+    """(instances, misses): each in-bound instance of a construction, and those of them
+    whose two knots are not members of one record at their slope."""
+    members = {}
+    for record in records:
+        members.setdefault(record.slope, []).append({_canonical(knot) for knot, _ in record.members})
+    instances, misses = [], []
+    for construction, n, slope, pair in _in_bound_instances(config):
+        instances.append((construction, n))
+        if not any(pair <= found for found in members.get(slope, [])):
+            misses.append((construction, n))
     return instances, misses
 
 
@@ -222,6 +232,43 @@ def test_every_construction_instance_to_order_200000_is_a_record():
                           slope_denominators={1, 2, 3})
     instances, misses = _unmatched_instances(config, find_coincidences(config))
     assert len(instances) == 372 and misses == []
+
+
+def test_ci_bound_records_are_instances_aliases_or_residual(ci_records):
+    # each record holds an instance of a verified construction, or else the alias pair
+    # kplus(1,b) with torus(b,b+1), one knot under two names, or neither of them
+    instances = {}
+    for _, _, slope, pair in _in_bound_instances(SearchConfig(**CI_BOUNDS)):
+        instances.setdefault(slope, []).append(pair)
+    kinds, residual = {"instance": 0, "alias": 0}, []
+    for record in ci_records:
+        held = {_canonical(knot) for knot, _ in record.members}
+        if any(pair <= held for pair in instances.get(record.slope, [])):
+            kinds["instance"] += 1
+        elif any(family == "kplus" and params[0] == 1 and ("torus", (params[1], params[1] + 1)) in held
+                 for family, params in held):
+            kinds["alias"] += 1
+        else:
+            residual.append(held)
+    assert kinds == {"instance": 193, "alias": 221} and len(residual) == 154
+    # cable(a,2a+1,+1) with torus(2a+1,4a), the b = 2a+1 mirror of torus_cable (b = 2a-1), share
+    # the slope m = 8a^2+4a+1 and a class, as 4(2a+1)^2 + (4a)^2 = 4m makes their parameters -q, q
+    mirrors = []
+    for a in itertools.count(2):
+        if 8 * a * a + 4 * a + 1 > CI_BOUNDS["order_max"]:
+            break
+        mirrors.append({("cable", (a, 2 * a + 1, 1)), ("torus", (2 * a + 1, 4 * a))})
+    assert len(mirrors) == 77
+    assert sum(any(pair <= held for pair in mirrors) for held in residual) == 77
+
+
+def test_ci_bound_members_but_tangle_th_have_an_integral_a2(ci_records):
+    # a knot in S^3 has an integral a2; the tangleTH spaces are tabulated mirrored
+    # (``test_casson_walker.py``)
+    for record in ci_records:
+        for knot, space in record.members:
+            if knot.family != "tangleTH":
+                assert oracles.surgery_a2(record.slope.m, record.slope.n, space.q).denominator == 1, (knot, record.slope)
 
 
 def test_bucket_keys_keep_slopes_of_one_order_apart():
@@ -263,15 +310,18 @@ def test_search_whose_order_max_is_not_a_multiple_of_the_shard_width():
 ], ids=["benchmark", "order20000-den16", "order3001-caps-above", "torus40-order50000"])
 def test_shard_buckets_match_the_per_row_closed_form(bounds):
     # each shard's shared buckets, with the regular torus and cable rows probed as runs, are
-    # those of bucketing every row one by one, the torus and cable rows made by the oracle
+    # those of bucketing every row one by one, the torus and cable rows made by the oracle;
+    # the oracle's keys and idents are decoded here, as ``_shared_buckets`` decodes its own
     config = SearchConfig(**bounds)
     others = dataclasses.replace(config, families=config.families - {"torus", "cable"})
+    width = knots._ident_width(config.order_max)
     for _, lo, hi in search._shards(config):
         buckets = {}
         for key, ident in itertools.chain(oracles.product_rows(config, lo, hi), knots._rows(others, lo, hi)):
             buckets.setdefault(key, []).append(ident)
-        expected = {key: sorted(idents) for key, idents in buckets.items() if len(idents) >= 2}
-        got = {key: sorted(idents) for key, idents in knots._shared_buckets(config, lo, hi).items()}
+        expected = {knots._key_parts(key, width): sorted(knots._knot_of(ident, width) for ident in idents)
+                    for key, idents in buckets.items() if len(idents) >= 2}
+        got = {(m, n, q_min): members for m, n, q_min, members in knots._shared_buckets(config, lo, hi)}
         assert got == expected, (lo, hi)
 
 
@@ -563,6 +613,16 @@ def test_no_nonintegral_pairs_rejects_an_empty_denominator_range():
     # with n_max below n_min the scan would check nothing and still report clean
     with pytest.raises(InvalidIndex):
         verify_no_nonintegral_pairs(60, 8, 3)
+
+
+@pytest.mark.parametrize("p_max", [5, 9, -4])
+def test_no_nonintegral_pairs_rejects_a_bound_with_no_pair(p_max):
+    # below 10, the least bound with two torus knots of equal product (6*5 = 10*3),
+    # the scan would check nothing and still report clean
+    with pytest.raises(InvalidIndex):
+        verify_no_nonintegral_pairs(p_max, 3, 8)
+    report = verify_no_nonintegral_pairs(10, 3, 8)
+    assert report.pairs == (((10, 3), (6, 5)),) and report.checked == 12 and report.clean
 
 
 def test_mixed_family_product_congruences():
