@@ -81,6 +81,14 @@ MUTANTS = (
            "p - 1 - h - s_prime", "p - h - s_prime", ("tests/test_dualknot.py::test_streaming_equals_bruteforce",)),
     Mutant("basic_stats ell' one too small", "src/lenspairs/dualknot.py",
            "p - 1 - h - s_prime", "p - 2 - h - s_prime", ("tests/test_dualknot.py::test_streaming_equals_bruteforce",)),
+    Mutant("floor sum without its n * (b // m) term", "src/lenspairs/dualknot.py",
+           "total += n * (n - 1) // 2 * qa + n * qb", "total += n * (n - 1) // 2 * qa",
+           ("tests/test_dualknot.py::test_floor_sum_matches_direct_sum",)),
+    Mutant("lens parameter without its gcd check", "src/lenspairs/lens.py",
+           "if gcd(p, reduced) != 1:", "if False:", ("tests/test_lens.py::test_make_lens_errors",)),
+    Mutant("verify witness writes its slope unreduced", SEARCH,
+           "slope_m, slope_n = _reduced_slope(m, den)", "slope_m, slope_n = m, den",
+           ("tests/test_search.py::test_verify_witness_writes_the_slope_and_spaces_as_their_objects_do",)),
     Mutant("sequence walk never restarts", "src/lenspairs/sequences.py",
            "if n - 1 != last:", "if last is None:", ("tests/test_sequences.py::test_walk_matches_pair_and_fib_pair",)),
     Mutant("window bound never exact", "src/lenspairs/bqf.py",
