@@ -509,24 +509,26 @@ def _knot_text(family: str, params: tuple) -> str:
     return _TABLE[family].text.format(*params)
 
 
-def _shared_lens_slopes(family1: str, params1: tuple, family2: str, params2: tuple, den: int) -> list:
-    """(m, q1, q2, same) for each lens slope m/den of both knots, once
-    ``_check_knot`` has passed each: the first knot gives L(m, q1) and the
-    second L(m, q2), both parameters validated and reduced as ``make_lens``
-    does, and ``same`` tells whether the two spaces are homeomorphic.  The
-    slopes come in the first knot's order."""
+def _shared_lens_slopes(family1: str, params1: tuple, family2: str, params2: tuple, dens) -> list:
+    """(den, m, q1, q2, same) for each lens slope m/den of both knots, den
+    running over ``dens``, once ``_check_knot`` has passed each knot: the
+    first knot gives L(m, q1) and the second L(m, q2), both parameters
+    validated and reduced as ``make_lens`` does, and ``same`` tells whether
+    the two spaces are homeomorphic.  Within a denominator the slopes come
+    in the first knot's order."""
     _check_knot(family1, params1)
     _check_knot(family2, params2)
-    one = _TABLE[family1].slopes(den, *params1)
-    two = _TABLE[family2].slopes(den, *params2)
+    slopes1, slopes2 = _TABLE[family1].slopes, _TABLE[family2].slopes
     shared = []
     # a knot's lens slopes of one denominator have distinct orders m; a plain
     # loop, since a comprehension costs one more call per pair of knots
-    for m, q1 in one:
-        for order, q2 in two:
-            if order == m:
-                r1, r2 = _reduced_q(m, q1), _reduced_q(m, q2)
-                shared.append((m, r1, r2, _same_class(m, r1, r2)))
+    for den in dens:
+        two = slopes2(den, *params2)
+        for m, q1 in slopes1(den, *params1):
+            for order, q2 in two:
+                if order == m:
+                    r1, r2 = _reduced_q(m, q1), _reduced_q(m, q2)
+                    shared.append((den, m, r1, r2, _same_class(m, r1, r2)))
     return shared
 
 

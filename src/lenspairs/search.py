@@ -298,12 +298,12 @@ def verify_family(family: str, n_range) -> FamilyReport:
     instances = map(knots_of, ns, _walk(walk, ns)) if walk else map(knots_of, ns)
     checks = []
     for n, ((family1, params1), (family2, params2)) in zip(ns, instances):
-        shared = _shared_lens_slopes(family1, params1, family2, params2, den)
+        shared = _shared_lens_slopes(family1, params1, family2, params2, (den,))
         knots = f"{_knot_text(family1, params1)} & {_knot_text(family2, params2)}"
         if len(shared) != 1:
             checks.append(FamilyCheck(family, n, False, f"{knots} share {len(shared)} lens slopes m/{den}, not one"))
             continue
-        ((m, q1, q2, same),) = shared
+        ((_, m, q1, q2, same),) = shared
         ok = same and _distinct(family1, params1, family2, params2) == "distinct"
         slope_m, slope_n = _reduced_slope(m, den)
         # m is written once, for the slope when it is the slope's numerator and for both lens spaces
@@ -348,6 +348,7 @@ def verify_no_nonintegral_pairs(p_max: int, n_min: int, n_max: int) -> Nonintegr
         for q in range(2, p):
             if gcd(p, q) == 1:
                 by_product.setdefault(p * q, []).append((p, q))
+    dens = range(n_min, n_max + 1)
     pairs = []
     checked = 0
     violations = []
@@ -356,9 +357,8 @@ def verify_no_nonintegral_pairs(p_max: int, n_min: int, n_max: int) -> Nonintegr
         for (r, s), (p, q) in itertools.combinations(sorted(group), 2):
             # sorted puts the smaller first coordinate first, so r < p
             pairs.append(((p, q), (r, s)))
-            for n in range(n_min, n_max + 1):
-                for m, _, _, same in _shared_lens_slopes("torus", (p, q), "torus", (r, s), n):
-                    checked += 1
-                    if same:
-                        violations.append((p, q, r, s, n, m))
+            for n, m, _, _, same in _shared_lens_slopes("torus", (p, q), "torus", (r, s), dens):
+                checked += 1
+                if same:
+                    violations.append((p, q, r, s, n, m))
     return NonintegralReport(tuple(pairs), checked, tuple(violations))

@@ -1,10 +1,10 @@
 """Mutation check: each mutant listed here must fail the tests named beside it.
 
-    python tools/mutants.py [NAME ...]
+    python tools/mutants.py
 
 Run from anywhere; it works on a temporary copy of the checkout's ``src/``,
-``tests/`` and ``pyproject.toml``.  First the named tests of every chosen
-mutant run on the unedited copy and must pass.  Then, one mutant at a time,
+``tests/`` and ``pyproject.toml``.  First the named tests of every mutant
+run on the unedited copy and must pass.  Then, one mutant at a time,
 the mutant's old text, which must occur exactly once in its file, becomes
 its new text, ``python -m pytest -x -q`` runs the mutant's test node ids,
 and the file is restored.  A mutant is killed when a test fails or the run
@@ -66,7 +66,7 @@ MUTANTS = (
            "    _check_knot(family1, params1)\n    _check_knot(family2, params2)\n",
            "    _check_knot(family1, params1)\n", (BAD_KNOT,)),
     Mutant("pair check calls every shared slope homeomorphic", KNOTS,
-           "shared.append((m, r1, r2, _same_class(m, r1, r2)))", "shared.append((m, r1, r2, True))",
+           "shared.append((den, m, r1, r2, _same_class(m, r1, r2)))", "shared.append((den, m, r1, r2, True))",
            ("tests/test_search.py::test_no_nonintegral_pairs",)),
     Mutant("distinct without its genus certificate", KNOTS,
            '    if g1 is not None and g2 is not None and g1 != g2:\n        return "distinct"\n', "",
@@ -108,14 +108,9 @@ def run_tests(copy: Path, tests) -> int:
         return -1
 
 
-def main(names) -> int:
-    chosen = [m for m in MUTANTS if not names or m.name in names]
-    unknown = set(names) - {m.name for m in MUTANTS}
-    if unknown:
-        print(f"unknown mutants: {sorted(unknown)}")
-        return 1
+def main() -> int:
     problems = []
-    for mutant in chosen:
+    for mutant in MUTANTS:
         count = (ROOT / mutant.file).read_text().count(mutant.old)
         if count != 1:
             problems.append(f"{mutant.name}: its old text occurs {count} times in {mutant.file}")
@@ -130,11 +125,11 @@ def main(names) -> int:
                 shutil.copytree(source, copy / part, ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
             else:
                 shutil.copy2(source, copy / part)
-        code = run_tests(copy, sorted({test for m in chosen for test in m.tests}))
+        code = run_tests(copy, sorted({test for m in MUTANTS for test in m.tests}))
         if code != 0:
             print(f"the named tests do not pass on the unedited code (pytest exit code {code})")
             return 1
-        for mutant in chosen:
+        for mutant in MUTANTS:
             path = copy / mutant.file
             text = path.read_text()
             path.write_text(text.replace(mutant.old, mutant.new))
@@ -146,9 +141,9 @@ def main(names) -> int:
             print(f"{verdict}: {mutant.name}", flush=True)
             if code not in (1, -1):
                 problems.append(mutant.name)
-    print(f"{len(chosen) - len(problems)}/{len(chosen)} mutants killed")
+    print(f"{len(MUTANTS) - len(problems)}/{len(MUTANTS)} mutants killed")
     return 1 if problems else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
