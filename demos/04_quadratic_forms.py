@@ -6,9 +6,11 @@ window 0 <= y <= W meeting every solution orbit; walking the orbits with
 the unit action then lists all solutions.  The unit comes from a
 continued-fraction period and the window solutions from the square roots
 of D mod 4Am, so a ten-digit unit (discriminant 244) or a window nine
-million wide (discriminant 241) costs no more than the small examples.  The same machinery powers the
-divisibility fact that rules out two satellite knots ever sharing a lens
-space.
+million wide (discriminant 241) costs no more than the small examples.
+
+The paper proves with such forms the divisibility fact that rules out two
+satellite knots ever sharing a lens space; the demo's last part only
+checks that fact in a box, by a plain scan that uses no form or unit.
 """
 
 from lenspairs import (

@@ -18,10 +18,11 @@ Five families are modelled, each by a small tuple of positive integers:
   every other slope reports an unknown outcome rather than guessing.
 
 ``_TABLE`` is the one home of per-family knowledge, for this module, the
-search and the command line.  Adding a family means adding one entry and
-one constructor; a family whose ``cap`` is new also needs that one
-``SearchConfig`` field, and the command line derives its ``--*-max`` flag
-from the field.
+search and the command line.  Its ``types`` name the paper's trichotomy
+(torus, satellite, hyperbolic); a tangle knot's is trusted, not checked.
+Adding a family means adding one entry and one constructor; a family
+whose ``cap`` is new also needs that one ``SearchConfig`` field, and the
+command line derives its ``--*-max`` flag from the field.
 
 Only this module reads the table's lens slopes and the search rows made
 from them.  Its entry points on (family, params) ints, for callers that
@@ -353,9 +354,7 @@ class _Family:
     other: Callable = lambda m, n, *params: NotLens("unknown-for-family")  # outcome at other slopes m/n
     genus: Callable = lambda *params: None  # (*params) -> genus, or None where no formula is known
     symmetric: bool = False  # (a, b, ...) and (b, a, ...) are the same knot
-    is_torus: bool = False
-    not_torus: bool = False  # certified not a torus knot
-    not_hyperbolic: bool = False  # certified not hyperbolic
+    types: frozenset = frozenset({"torus", "satellite", "hyperbolic"})  # the geometric types a knot may have
     hyperbolic: Callable = lambda *params: False  # (*params) -> True when certified hyperbolic
 
 
@@ -366,8 +365,7 @@ _TABLE = {
         valid=lambda p, q: p >= 2 and q >= 2 and gcd(p, q) == 1, rule="parameters must be coprime and >= 2",
         slopes=_torus_slopes,
         other=lambda m, n, p, q: ReducibleTwoLens(p, q) if (m, n) == (p * q, 1) else _NO_LENS,
-        genus=lambda p, q: (p - 1) * (q - 1) // 2, symmetric=True,
-        is_torus=True, not_hyperbolic=True,
+        genus=lambda p, q: (p - 1) * (q - 1) // 2, symmetric=True, types=frozenset({"torus"}),
     ),
     "cable": _Family(
         arity=3, text="cable({},{},{:+d})", rows=_cable_rows, cap="cable_max",
@@ -375,8 +373,7 @@ _TABLE = {
         rule="companion parameters must be coprime and >= 2 and the sign +1 or -1",
         slopes=_integral(lambda a, b, eps: (4 * a * b + eps, 4 * b * b)),
         other=lambda m, n, a, b, eps: _CABLING if (m, n) == (4 * a * b + 2 * eps, 1) else _NO_LENS,
-        symmetric=True,
-        not_torus=True, not_hyperbolic=True,  # a satellite knot
+        symmetric=True, types=frozenset({"satellite"}),
     ),
     "kplus": _Family(
         arity=2, text="kplus({},{})", rows=_kplus_rows, cap="kplus_max",
@@ -390,7 +387,7 @@ _TABLE = {
         valid=lambda n: n >= 1, rule="index must be >= 1",
         slopes=_integral(lambda n: (27 * n * n + 45 * n + 21, -(9 * n * n + 12 * n + 5))),
         genus=lambda n: (27 * n * n + 33 * n + 10) // 2,
-        not_torus=True,  # hyperbolic by construction, which no certificate here checks
+        types=frozenset({"satellite", "hyperbolic"}),  # hyperbolic by construction, which nothing here checks
     ),
     # Known defect, kept as data: L(m, -(18n+19)) has a non-integral Casson-Walker a2 for every
     # n, so no knot in S^3 gives it by +m surgery; its mirror L(m, 18n+19) gives the a2 of the
@@ -399,7 +396,7 @@ _TABLE = {
         arity=1, text="tangleTH({})", rows=_index_rows, cap="tangle_max",
         valid=lambda n: n >= 1, rule="index must be >= 1",
         slopes=_integral(lambda n: (18 * n * n + 33 * n + 15, -(18 * n + 19))),
-        not_torus=True,  # hyperbolic by construction, which no certificate here checks
+        types=frozenset({"satellite", "hyperbolic"}),  # hyperbolic by construction, which nothing here checks
     ),
 }
 
@@ -551,27 +548,28 @@ def distinct(first: KnotDescriptor, second: KnotDescriptor) -> str:
     """Decide non-equivalence: returns "equal", "distinct" or "unknown".
 
     Same family: compare parameters up to the family's symmetry.  Across
-    families the certificates, in order: a torus knot against a family
-    certified non-torus; unequal genus; a knot certified hyperbolic (kplus
-    with phi >= 2) against a family certified non-hyperbolic.  Anything
-    else is reported "unknown", never overclaimed.
+    families the certificates, in order: disjoint ``types`` (a torus knot
+    against a satellite or a tangle knot); unequal genus; a knot certified
+    hyperbolic (kplus with phi >= 2) against a family with no hyperbolic
+    knot.  Anything else is reported "unknown", never overclaimed.
     """
     return _distinct(first.family, first.params, second.family, second.params)
 
 
 def _distinct(family1: str, params1: tuple, family2: str, params2: tuple) -> str:
-    """``distinct`` of the knots (family1, params1) and (family2, params2)."""
+    """``distinct`` of the knots (family1, params1) and (family2, params2), from
+    the ``types``, ``genus`` and ``hyperbolic`` of their ``_TABLE`` entries."""
     one, two = _TABLE[family1], _TABLE[family2]
     if one is two:
         p = params1
         same = p == params2 or (one.symmetric and (p[1], p[0], *p[2:]) == params2)
         return "equal" if same else "distinct"
-    if (one.is_torus and two.not_torus) or (two.is_torus and one.not_torus):
+    if one.types.isdisjoint(two.types):
         return "distinct"
     g1, g2 = one.genus(*params1), two.genus(*params2)
     if g1 is not None and g2 is not None and g1 != g2:
         return "distinct"
     for params, entry, other in ((params1, one, two), (params2, two, one)):
-        if other.not_hyperbolic and entry.hyperbolic(*params):
+        if "hyperbolic" not in other.types and entry.hyperbolic(*params):
             return "distinct"
     return "unknown"

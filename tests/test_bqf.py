@@ -7,6 +7,8 @@ import pytest
 from lenspairs import bqf
 from lenspairs.arith import is_perfect_square
 from lenspairs.bqf import (
+    DivisibilityHit,
+    DivisibilityReport,
     FormSolution,
     InvalidUnit,
     NotADiscriminant,
@@ -172,6 +174,8 @@ def test_orbit_representatives():
     # discriminant 241: W = 9148449, so the window walk takes seconds
     assert orbit_representatives(QuadForm(1, 1, -60), 1) == [FormSolution(1, 0)]
     assert orbit_representatives(QuadForm(-1, 1, 60), -1) == [FormSolution(1, 0)]
+    with pytest.raises(ValueError, match="^m must be nonzero$"):
+        orbit_representatives(F, 0)
 
 
 def test_representatives_match_window_walk():
@@ -301,6 +305,8 @@ def test_generate_solutions():
     assert generate_solutions(G, -1, 2) == [FormSolution(0, 1), FormSolution(6, 1)]
     for sol in generate_solutions(G, 1, 6):
         assert G(sol.x, sol.y) == 1
+    with pytest.raises(ValueError, match="^m must be nonzero$"):
+        generate_solutions(F, 0, 3)
 
 
 def test_generate_solutions_at_count_one_are_the_representatives():
@@ -382,6 +388,13 @@ def test_divisibility_scan_skips_zero_difference():
     # b = c makes b^2 - c^2 = 0; divisibility of zero is vacuous, not a hit
     report = divisibility_scan(range(2, 3), range(1, 2), range(1, 2), range(3, 4))
     assert report.clean
+
+
+def test_divisibility_scan_skips_a_zero_modulus():
+    # at a = b = c = n = 1, b^2 - c^2 and n*a*b*c - 1 are 0 and skipped, so 2 over 2 is the
+    # one check left, and a hit
+    report = divisibility_scan(range(1, 2), range(1, 2), range(1, 2), range(1, 2))
+    assert report == DivisibilityReport(1, (DivisibilityHit(1, 1, 1, 1, 2, 2),))
 
 
 @pytest.mark.parametrize("position", range(4))

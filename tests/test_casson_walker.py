@@ -10,7 +10,7 @@ from fractions import Fraction
 from math import gcd
 
 from lenspairs.cli import run
-from lenspairs.knots import SurgerySlope, cable, kplus, lens_surgery, tangle_hh, torus
+from lenspairs.knots import _TABLE, SurgerySlope, cable, genus, kplus, lens_surgery, tangle_hh, torus
 from oracles import dedekind_sum, natural_slope, surgery_a2, torus_a2
 
 
@@ -61,6 +61,22 @@ def test_kplus_one_b_has_the_a2_of_its_torus_alias():
 def test_tangle_hh_has_the_a2_of_its_tangle_kplus_partner():
     for n in range(1, 150):
         assert knot_a2(tangle_hh(n)) == knot_a2(kplus(3 * n + 1, 3 * n + 4)), n
+
+
+def test_lens_surgery_knots_meet_the_l_space_bounds_on_their_genus():
+    # A knot with a positive lens surgery is an L-space knot: the nonzero coefficients of its
+    # Alexander polynomial are +-1 and alternate from +1 at t^g (Ozsvath and Szabo, Topology 44,
+    # 2005).  So its torsion coefficients t_s fall by 0 or 1 per step from s = 0 to t_{g-1} = 1,
+    # t_g = 0, and a2 = t_0 + 2(t_1 + ... + t_{g-1}) lies in [2g - 1, g^2].  tangleTH has no genus,
+    # and kplus(1,1), of genus 0, is the unknot.
+    knots = ([torus(p, q) for q in range(3, 25) for p in range(2, q) if gcd(p, q) == 1]
+             + [kplus(a, b) for b in range(2, 40) for a in range(1, b) if gcd(a, b) == 1]
+             + [tangle_hh(n) for n in range(1, 150)])
+    assert len(knots) == 778
+    for knot in knots:
+        m, q = _TABLE[knot.family].slopes(1, *knot.params)[0]  # the table row of a positive lens slope
+        g, a2 = genus(knot), surgery_a2(m, 1, q)
+        assert 2 * g - 1 <= a2 <= g * g, (knot, g, a2)
 
 
 def test_tangle_th_rows_are_the_mirrors_of_knot_surgeries(capsys):

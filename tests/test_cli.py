@@ -79,6 +79,35 @@ def test_surgery_output(capsys):
     assert capsys.readouterr().out.strip() == "L(13,3)"
 
 
+@pytest.mark.parametrize("argv,out", [
+    # a --range of one value names that one index
+    (["verify", "torus_torus", "--range", "5"],
+     "PASS torus_torus n=5 witness=torus(21,29) & torus(13,47) @ 610/1 -> L(610,231) ~ L(610,379)\n"
+     "torus_torus: 1/1 instances verified\n"),
+    (["surgery", "torus", "2", "3", "--slope", "7/2"], "not a lens space (slope-condition-fails)\n"),
+    (["surgery", "cable", "2", "3", "+1", "--slope", "26"],
+     "not a lens space (unknown-for-family): cabling slope: reducible filling with a lens space summand\n"),
+    (["--jsonl", "surgery", "cable", "2", "3", "+1", "--slope", "26"],
+     '{"kind": "not-lens", "knot": "cable(2,3,+1)", "note": "cabling slope: reducible filling with a lens '
+     'space summand", "reason": "unknown-for-family", "slope": "26/1"}\n'),
+    # x^2 - 3y^2 = -1 has no solution mod 3; only the text mode says so
+    (["bqf", "solve", "1", "0", "-3", "-1"], "no solutions\n"),
+    (["--jsonl", "bqf", "solve", "1", "0", "-3", "-1"], ""),
+])
+def test_single_index_not_lens_and_no_solution_outputs(argv, out, capsys):
+    assert run(argv) == 0
+    assert capsys.readouterr() == (out, "")
+
+
+def test_search_text_output(capsys):
+    assert run(["search", "--order-max", "500"]) == 0
+    out, err = capsys.readouterr()
+    assert out.splitlines()[0] == "slope 7/1 class L(7, 2): kplus(1,2)[L(7,2)], torus(2,3)[L(7,2)] (certified 1)"
+    assert len(out.splitlines()) == 66
+    assert hashlib.sha256(out.encode()).hexdigest() == "bdf5c3b9c6b3f780f7ff92c252917bc7729d4a1ec1f3e2b257c435e11b441da8"
+    assert err == "66 coincidence records, largest certified-distinct group: 2\n"
+
+
 def test_homeo_output(capsys):
     assert run(["homeo", "13", "3", "13", "9", "--oriented"]) == 0
     assert capsys.readouterr().out.strip() == "oriented-homeomorphic"
@@ -112,6 +141,12 @@ def test_identities_output(capsys):
     assert run(["identities", "--range", "25"]) == 0
     out = capsys.readouterr().out
     assert out.count("PASS") == 5
+
+
+def test_identities_below_one_is_a_usage_error(capsys):
+    assert run(["identities", "--range", "0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: --range must be >= 1\nusage: lenspairs")
 
 
 def test_identities_start_at_each_first_index(capsys):

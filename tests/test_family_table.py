@@ -188,6 +188,35 @@ def test_verify_pairs_share_exactly_one_lens_slope():
             assert ms[0] & ms[1] == {slope.m}, (family, n)
 
 
+def _certified_types(knot):
+    # the types that the table allows the knot: its family's ``types``, narrowed to
+    # hyperbolic where the knot's ``hyperbolic`` certificate (kplus: phi >= 2) holds
+    entry = _TABLE[knot.family]
+    return {"hyperbolic"} if entry.hyperbolic(*knot.params) else entry.types
+
+
+def test_verified_constructions_pair_the_papers_knot_types():
+    # certificates give (torus, torus), (torus, satellite) and (satellite, hyperbolic); the
+    # tangles' type, not torus, is trusted from the paper's construction and gives (torus,
+    # hyperbolic) and (hyperbolic, hyperbolic).  No construction pairs two satellites.
+    torus_type, satellite, hyperbolic, tangle = {"torus"}, {"satellite"}, {"hyperbolic"}, {"satellite", "hyperbolic"}
+    assert _TABLE["tangleHH"].types == _TABLE["tangleTH"].types == tangle
+    expected = {
+        "torus_torus": (range(1, 30), torus_type, torus_type),
+        "torus_torus_half": (range(1, 30), torus_type, torus_type),
+        "torus_cable": (range(1, 30), torus_type, satellite),
+        "cable_kplus": (range(3, 41), satellite, hyperbolic),
+        "torus_tangle": (range(1, 30), torus_type, tangle),
+        "tangle_kplus": (range(1, 30), tangle, hyperbolic),
+    }
+    assert set(expected) == set(VERIFY_FAMILIES)
+    for family, (ns, first_types, second_types) in expected.items():
+        assert (first_types, second_types) != (satellite, satellite)
+        for n in ns:
+            first, second, _ = oracles.family_pair(family, n)
+            assert (_certified_types(first), _certified_types(second)) == (first_types, second_types), (family, n)
+
+
 def _oracle_report(family, ns):
     # each instance from the paper's formulas, evaluated on KnotDescriptor,
     # SurgerySlope and LensSpace objects by the oracle's if-chains

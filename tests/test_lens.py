@@ -6,6 +6,7 @@ import pytest
 from lenspairs import lens
 from lenspairs.lens import (
     InvalidOrder,
+    LensSpace,
     NotCoprime,
     canonical_form,
     homeomorphic,
@@ -42,6 +43,9 @@ def test_make_lens_errors():
         make_lens(0, 1)
     with pytest.raises(InvalidOrder):
         make_lens(-5, 1)
+    # the constructor takes q as make_lens gives it, reduced
+    with pytest.raises(ValueError, match=r"^parameter 7 is not reduced mod 5$"):
+        LensSpace(5, 7)
 
 
 def test_reverse_orientation():

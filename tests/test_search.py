@@ -173,9 +173,11 @@ def test_ci_bound_search_leaves_the_cyclic_gc_idle():
 
 
 def test_no_ci_bound_record_holds_two_cables(ci_records):
-    # the satellite lemma: the two knots of a pair are never both satellites
-    assert len(ci_records) == 568
-    assert not [r for r in ci_records if sum(knot.family == "cable" for knot, _ in r.members) >= 2]
+    # the satellite lemma: the two knots of a pair are never both satellites, and of the
+    # table's families only cable has the one type satellite
+    satellite = {family for family, entry in knots._TABLE.items() if entry.types == {"satellite"}}
+    assert len(ci_records) == 568 and satellite == {"cable"}
+    assert not [r for r in ci_records if sum(knot.family in satellite for knot, _ in r.members) >= 2]
 
 
 # the six verified constructions with their first n, and the search bound on each family's parameters
@@ -234,6 +236,34 @@ def test_every_construction_instance_to_order_200000_is_a_record():
     assert len(instances) == 372 and misses == []
 
 
+# the residual records at the CI bounds that pair two families other than the mirror class:
+# 13 cable-torus, 7 kplus-torus (each certified by phi) and 2 cable-kplus
+RESIDUAL_PAIRS = {
+    ("91/1", (("kplus", (5, 6)), ("torus", (4, 23)))),
+    ("119/1", (("cable", (5, 6, -1)), ("torus", (5, 24)))),
+    ("169/1", (("cable", (6, 7, 1)), ("torus", (5, 34)))),
+    ("181/1", (("kplus", (4, 11)), ("torus", (7, 26)))),
+    ("209/1", (("cable", (4, 13, 1)), ("torus", (7, 30)))),
+    ("305/1", (("cable", (4, 19, 1)), ("torus", (9, 34)))),
+    ("481/1", (("cable", (5, 24, 1)), ("kplus", (5, 19)))),
+    ("697/1", (("cable", (6, 29, 1)), ("torus", (24, 29)))),
+    ("703/1", (("kplus", (6, 23)), ("torus", (11, 64)))),
+    ("985/1", (("cable", (6, 41, 1)), ("torus", (29, 34)))),
+    ("2521/1", (("kplus", (15, 41)), ("torus", (26, 97)))),
+    ("2911/1", (("cable", (13, 56, -1)), ("torus", (30, 97)))),
+    ("3081/1", (("kplus", (29, 35)), ("torus", (23, 134)))),
+    ("4059/1", (("cable", (29, 35, -1)), ("torus", (29, 140)))),
+    ("5473/1", (("cable", (19, 72, 1)), ("torus", (34, 161)))),
+    ("5741/1", (("cable", (35, 41, 1)), ("torus", (29, 198)))),
+    ("11041/1", (("cable", (24, 115, 1)), ("kplus", (24, 91)))),
+    ("23661/1", (("cable", (35, 169, 1)), ("torus", (140, 169)))),
+    ("23871/1", (("kplus", (35, 134)), ("torus", (64, 373)))),
+    ("33461/1", (("cable", (35, 239, 1)), ("torus", (169, 198)))),
+    ("35113/1", (("kplus", (56, 153)), ("torus", (97, 362)))),
+    ("40545/1", (("cable", (56, 181, 1)), ("torus", (97, 418)))),
+}
+
+
 def test_ci_bound_records_are_instances_aliases_or_residual(ci_records):
     # each record holds an instance of a verified construction, or else the alias pair
     # kplus(1,b) with torus(b,b+1), one knot under two names, or neither of them
@@ -249,7 +279,7 @@ def test_ci_bound_records_are_instances_aliases_or_residual(ci_records):
                  for family, params in held):
             kinds["alias"] += 1
         else:
-            residual.append(held)
+            residual.append((record.slope, held))
     assert kinds == {"instance": 193, "alias": 221} and len(residual) == 154
     # cable(a,2a+1,+1) with torus(2a+1,4a), the b = 2a+1 mirror of torus_cable (b = 2a-1), share
     # the slope m = 8a^2+4a+1 and a class, as 4(2a+1)^2 + (4a)^2 = 4m makes their parameters -q, q
@@ -259,7 +289,26 @@ def test_ci_bound_records_are_instances_aliases_or_residual(ci_records):
             break
         mirrors.append({("cable", (a, 2 * a + 1, 1)), ("torus", (2 * a + 1, 4 * a))})
     assert len(mirrors) == 77
-    assert sum(any(pair <= held for pair in mirrors) for held in residual) == 77
+    # torus(p,q) at m = npq -+ 1 gives L(m, nq^2), and (npq)^2 = 1 (mod m) makes np^2 the inverse of
+    # nq^2, so its class is {+-np^2, +-nq^2}; n is a unit mod m.  Two torus knots p < q, r < s:
+    cases = {"mirror": 0, "A": 0, "B": 0, "listed": 0}
+    for slope, held in residual:
+        m, n = slope.m, slope.n
+        if any(pair <= held for pair in mirrors):
+            cases["mirror"] += 1
+        elif {family for family, _ in held} == {"torus"}:
+            (_, (p, _)), (_, (r, _)) = sorted(held)
+            # case A: m | p^2 -+ r^2 puts np^2 = +-nr^2 in both classes
+            if (p * p - r * r) % m == 0 or (p * p + r * r) % m == 0:
+                cases["A"] += 1
+            # case B: m | (npr)^2 -+ 1 puts np^2 = +-(nr^2)^-1 = +-ns^2 in both classes
+            else:
+                assert ((n * p * r) ** 2 - 1) % m == 0 or ((n * p * r) ** 2 + 1) % m == 0, (slope, held)
+                cases["B"] += 1
+        else:
+            assert (str(slope), tuple(sorted(held))) in RESIDUAL_PAIRS, (slope, held)
+            cases["listed"] += 1
+    assert cases == {"mirror": 77, "A": 4, "B": 51, "listed": 22} and len(RESIDUAL_PAIRS) == 22
 
 
 def test_ci_bound_members_but_tangle_th_have_an_integral_a2(ci_records):

@@ -37,8 +37,12 @@ class Mutant(NamedTuple):
 
 
 KNOTS, SEARCH = "src/lenspairs/knots.py", "src/lenspairs/search.py"
+BQF, CLI = "src/lenspairs/bqf.py", "src/lenspairs/cli.py"
 RUN_MEMBERS = "tests/test_family_table.py::test_run_members_are_regular_rows_that_share_no_key"
 BAD_KNOT = "tests/test_search.py::test_verify_raises_what_a_knot_descriptor_raises"
+DISTINCT = "tests/test_family_table.py::test_distinct_matches_rules_on_every_ordered_pair"
+CLI_OUTPUTS = "tests/test_cli.py::test_single_index_not_lens_and_no_solution_outputs"
+WINDOW_WALK = "tests/test_bqf.py::test_representatives_match_window_walk"
 
 MUTANTS = (
     Mutant("run member without its gcd", KNOTS,
@@ -70,7 +74,12 @@ MUTANTS = (
            ("tests/test_search.py::test_no_nonintegral_pairs",)),
     Mutant("distinct without its genus certificate", KNOTS,
            '    if g1 is not None and g2 is not None and g1 != g2:\n        return "distinct"\n', "",
-           ("tests/test_family_table.py::test_distinct_matches_rules_on_every_ordered_pair",)),
+           (DISTINCT,)),
+    Mutant("distinct without its type certificate", KNOTS,
+           '    if one.types.isdisjoint(two.types):\n        return "distinct"\n', "", (DISTINCT,)),
+    Mutant("phi certificate ignores the other family's types", KNOTS,
+           'if "hyperbolic" not in other.types and entry.hyperbolic(*params):', "if entry.hyperbolic(*params):",
+           (DISTINCT,)),
     Mutant("nonintegral scan checks only the sign of p_max", SEARCH,
            "if p_max < 10:", "if p_max < 0:",
            ("tests/test_search.py::test_no_nonintegral_pairs_rejects_a_bound_with_no_pair",)),
@@ -91,9 +100,36 @@ MUTANTS = (
            ("tests/test_search.py::test_verify_witness_writes_the_slope_and_spaces_as_their_objects_do",)),
     Mutant("sequence walk never restarts", "src/lenspairs/sequences.py",
            "if n - 1 != last:", "if last is None:", ("tests/test_sequences.py::test_walk_matches_pair_and_fib_pair",)),
-    Mutant("window bound never exact", "src/lenspairs/bqf.py",
+    Mutant("window bound never exact", BQF,
            "return floor, floor if floor * floor * delta == n else None", "return floor, None",
            ("tests/test_bqf.py::test_window_bound",)),
+    Mutant("Pell classes skip every square divisor", BQF,
+           "for i in range(e // 2 + 1)", "for i in range(1)", (WINDOW_WALK,)),
+    Mutant("Tonelli-Shanks drops its correction of the root", BQF,
+           "r * b % p", "r % p",
+           ("tests/test_bqf.py::test_square_roots_match_sympy_when_a_repeated_odd_prime_divides_delta",)),
+    Mutant("LMM solution without its parity test", BQF,
+           "if big_q == 1 and (k % 2 == 0) == (n > 0):", "if big_q == 1:",
+           ("tests/test_bqf.py::test_orbit_representatives", WINDOW_WALK)),
+    Mutant("divisibility scan divides by a zero modulus", BQF,
+           "                            if modulus == 0:\n                                continue\n", "",
+           ("tests/test_bqf.py::test_divisibility_scan_skips_a_zero_modulus",)),
+    Mutant("lens space without its reducedness check", "src/lenspairs/lens.py",
+           "if _reduced_q(self.p, self.q) != self.q:", "if _reduced_q(self.p, self.q) is None:",
+           ("tests/test_lens.py::test_make_lens_errors",)),
+    Mutant("a range of one value is empty", CLI,
+           "return range(int(lo), int(lo) + 1)", "return range(int(lo), int(lo))", (CLI_OUTPUTS,)),
+    Mutant("not-lens text drops its note", CLI,
+           'text = f"not a lens space ({result.reason})" + (f": {result.note}" if result.note else "")',
+           'text = f"not a lens space ({result.reason})"', (CLI_OUTPUTS,)),
+    Mutant("no-solutions line also in jsonl mode", CLI,
+           '_emit(args, None, "no solutions")', '_emit(args, {}, "no solutions")', (CLI_OUTPUTS,)),
+    Mutant("search text counts raw members", CLI,
+           "(certified {record.certified_multiplicity})", "(certified {len(record.members)})",
+           ("tests/test_cli.py::test_search_text_output",)),
+    Mutant("identities accepts a range of 0", CLI,
+           "if args.range < 1:", "if args.range < 0:",
+           ("tests/test_cli.py::test_identities_below_one_is_a_usage_error",)),
 )
 
 
