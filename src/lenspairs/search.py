@@ -35,7 +35,7 @@ import json
 import os
 import threading
 from dataclasses import dataclass, field
-from math import gcd
+from math import gcd, isqrt
 from typing import NamedTuple
 
 from .knots import (
@@ -156,11 +156,17 @@ class CoincidenceRecord:
         return json.dumps(obj, sort_keys=True)
 
 
-# A search runs in at least _SHARDS shards of lens order m, so that the pool
-# has work to share at any order_max, and each shard spans at most
-# _SHARD_WIDTH orders, so that the rows one shard holds at once stay few.
+# Each shard sets up the slope window of every (k, a, eps) of
+# ``knots._product_rows`` with k*a^2 below its top order, whatever its width.
+# So a shard spans up to _SHARD_ROOTS * isqrt(order_max) orders, and at least
+# _SHARD_WIDTH: its setups, O(sqrt(order_max)), stay below its rows.  The cap
+# also bounds the rows a shard holds at once: at order 10^6, 16000 orders
+# and about 28k streamed rows.  A sequential search cuts its shards that
+# wide; a pool gets at least _SHARDS, so that it has work to share at any
+# order_max.
 _SHARDS = 16
 _SHARD_WIDTH = 4096
+_SHARD_ROOTS = 16
 
 
 def _shard_records(task) -> list[CoincidenceRecord]:
@@ -175,9 +181,11 @@ def _shard_records(task) -> list[CoincidenceRecord]:
     return records
 
 
-def _shards(config: SearchConfig) -> list[tuple]:
+def _shards(config: SearchConfig, workers: int) -> list[tuple]:
     # the tasks (config, lo, hi) of ``_shard_records``, which cover the orders 1..order_max
-    width = min(_SHARD_WIDTH, -(-config.order_max // _SHARDS))
+    width = max(_SHARD_WIDTH, _SHARD_ROOTS * isqrt(config.order_max))
+    if workers > 1:
+        width = min(width, max(1, config.order_max // _SHARDS))
     return [(config, lo, lo + width) for lo in range(1, config.order_max + 1, width)]
 
 
@@ -186,7 +194,10 @@ def find_coincidences(config: SearchConfig) -> list[CoincidenceRecord]:
 
     A lens order is the slope numerator m, so no group spans two values of
     m: the search runs in shards of m that share nothing, in this process or
-    over a pool of at most ``os.cpu_count()`` workers.  The enumeration
+    over a pool of at most ``os.cpu_count()`` workers.  The worker count is
+    capped first, and then sets the layout: in this process each shard is
+    max(4096, 16 * isqrt(order_max)) orders wide, the last one cut at
+    order_max; a pool gets at least 16 shards, none wider.  The enumeration
     lists each knot once, in canonical parameters, so no group holds one
     knot twice.  Pairs whose non-equivalence cannot be certified stay in the
     record and are accounted for by ``certified_multiplicity``.
@@ -200,8 +211,9 @@ def find_coincidences(config: SearchConfig) -> list[CoincidenceRecord]:
     main module, so a script that may spawn its workers makes the call
     under ``if __name__ == "__main__":``.
     """
-    tasks = _shards(config)
-    workers = min(config.workers, os.cpu_count() or 1, len(tasks))
+    workers = min(config.workers, os.cpu_count() or 1)
+    tasks = _shards(config, workers)
+    workers = min(workers, len(tasks))
     if workers == 1:
         records = [record for task in tasks for record in _shard_records(task)]
     else:

@@ -4,6 +4,7 @@ import gc
 import hashlib
 import json
 import itertools
+import math
 import os
 import threading
 import time
@@ -73,10 +74,36 @@ def test_enumerate_respects_order_bound():
         assert slope.m <= 60
 
 
+def _layout_records(config, workers):
+    # the records of every shard of the layout for ``workers``, in the order of ``find_coincidences``
+    records = [record for task in search._shards(config, workers) for record in search._shard_records(task)]
+    return sorted(records, key=lambda r: (r.slope.m, r.slope.n, r.lens_class))
+
+
 def test_find_coincidences_respects_order_bound():
-    # at order_max 38 the last shard spans orders 37..39, and order 39 holds a record
-    assert any(r.slope.m == 39 for r in find_coincidences(SearchConfig(order_max=39)))
-    assert all(r.slope.m <= 38 for r in find_coincidences(SearchConfig(order_max=38)))
+    # at order_max 56 the pool's last shard spans orders 55..57, which ``knots._rows`` cuts
+    # to 56, and orders 56 and 57 both hold a record
+    assert search._shards(SearchConfig(order_max=56), 2)[-1][1:] == (55, 58)
+    for workers in (1, 2):
+        assert any(r.slope.m == 57 for r in _layout_records(SearchConfig(order_max=57), workers))
+        records = _layout_records(SearchConfig(order_max=56), workers)
+        assert any(r.slope.m == 56 for r in records) and all(r.slope.m <= 56 for r in records)
+    assert all(r.slope.m <= 56 for r in find_coincidences(SearchConfig(order_max=56)))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("order_max", [1, 38, 39, 4096, 4097, 5000, 50000, 10**6])
+def test_shards_tile_the_orders_within_the_cap(order_max, workers):
+    # a sequential search cuts shards as wide as the cap allows; a pool gets at least _SHARDS
+    shards = search._shards(SearchConfig(order_max=order_max), workers)
+    cap = max(search._SHARD_WIDTH, search._SHARD_ROOTS * math.isqrt(order_max))
+    assert shards[0][1] == 1 and shards[-1][1] <= order_max < shards[-1][2]
+    assert all(hi == lo for (_, _, hi), (_, lo, _) in zip(shards, shards[1:]))
+    assert all(lo < hi <= lo + cap for _, lo, hi in shards)
+    if workers == 1:
+        assert len(shards) == -(-order_max // cap)
+    else:
+        assert len(shards) >= min(search._SHARDS, order_max)
 
 
 def test_find_coincidences_torus_pair():
@@ -335,18 +362,20 @@ def test_bucket_keys_keep_slopes_of_one_order_apart():
 
 
 def test_search_whose_order_max_is_not_a_multiple_of_the_shard_width():
-    # the benchmark's probe search: order 5000 runs in shards 313 orders wide, the last of
-    # which, [4696, 5009), ``knots._rows`` cuts to 5001; its keys must decode to the slopes
+    # the benchmark's probe search: order 5000 runs sequentially in the shards [1, 4097) and
+    # [4097, 8193), and on a pool in shards 312 orders wide up to [4993, 5305); ``knots._rows``
+    # cuts either last shard to 5001, and the keys of every shard must decode to the slopes
     # and classes that an enumeration keyed by ``canonical_form`` finds
     config = SearchConfig(order_max=5000, torus_max=500, cable_max=500, kplus_max=60, tangle_max=20)
-    width = -(-config.order_max // search._SHARDS)
-    assert config.order_max % width and width < search._SHARD_WIDTH
+    assert [search._shards(config, workers)[-1][1:] for workers in (1, 2)] == [(4097, 8193), (4993, 5305)]
     buckets = {}
     for knot, slope, space in enumerate_surgeries(config):
         buckets.setdefault((slope.m, slope.n, canonical_form(space)), []).append((knot, space))
     expected = [(SurgerySlope(m, n), lens_class, tuple(members))
                 for (m, n, lens_class), members in sorted(buckets.items()) if len(members) >= 2]
-    assert any(slope.m > config.order_max - width for slope, _, _ in expected)
+    assert any(slope.m >= 4097 for slope, _, _ in expected)
+    for workers in (1, 2):
+        assert [(r.slope, r.lens_class, r.members) for r in _layout_records(config, workers)] == expected
     assert [(r.slope, r.lens_class, r.members) for r in find_coincidences(config)] == expected
 
 
@@ -364,7 +393,7 @@ def test_shard_buckets_match_the_per_row_closed_form(bounds):
     config = SearchConfig(**bounds)
     others = dataclasses.replace(config, families=config.families - {"torus", "cable"})
     width = knots._ident_width(config.order_max)
-    for _, lo, hi in search._shards(config):
+    for _, lo, hi in search._shards(config, 1) + search._shards(config, 2):
         buckets = {}
         for key, ident in itertools.chain(oracles.product_rows(config, lo, hi), knots._rows(others, lo, hi)):
             buckets.setdefault(key, []).append(ident)

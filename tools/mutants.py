@@ -43,6 +43,7 @@ BAD_KNOT = "tests/test_search.py::test_verify_raises_what_a_knot_descriptor_rais
 DISTINCT = "tests/test_family_table.py::test_distinct_matches_rules_on_every_ordered_pair"
 CLI_OUTPUTS = "tests/test_cli.py::test_single_index_not_lens_and_no_solution_outputs"
 WINDOW_WALK = "tests/test_bqf.py::test_representatives_match_window_walk"
+SHARD_LAYOUT = "tests/test_search.py::test_shards_tile_the_orders_within_the_cap"
 
 MUTANTS = (
     Mutant("run member without its gcd", KNOTS,
@@ -80,6 +81,11 @@ MUTANTS = (
     Mutant("phi certificate ignores the other family's types", KNOTS,
            'if "hyperbolic" not in other.types and entry.hyperbolic(*params):', "if entry.hyperbolic(*params):",
            (DISTINCT,)),
+    Mutant("sequential search keeps the pool's 16-shard floor", SEARCH,
+           "    if workers > 1:\n        width = min(", "    if workers >= 1:\n        width = min(", (SHARD_LAYOUT,)),
+    Mutant("shard layout drops its last partial shard", SEARCH,
+           "range(1, config.order_max + 1, width)", "range(1, config.order_max - width + 2, width)",
+           (SHARD_LAYOUT, "tests/test_search.py::test_find_coincidences_respects_order_bound")),
     Mutant("nonintegral scan checks only the sign of p_max", SEARCH,
            "if p_max < 10:", "if p_max < 0:",
            ("tests/test_search.py::test_no_nonintegral_pairs_rejects_a_bound_with_no_pair",)),
