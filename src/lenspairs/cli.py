@@ -162,27 +162,36 @@ def _cmd_identities(args) -> int:
     return 0 if failed == 0 else 1
 
 
-def _verify_lines(report):
-    """Each check of a verify report as the line, newline included, that
-    ``json.dumps`` writes for {"family", "n", "passed", "witness"}: inside a
-    dict, json writes a str as ``json.dumps`` of that str, an int by ``repr``
-    and a bool as true or false.  Every check is of the report's family, so
-    its name is encoded once."""
-    family = json.dumps(report.family)
-    for check in report.checks:
+def _verify_lines(family: str, checks):
+    """Each check as the line, newline included, that ``json.dumps`` writes
+    for {"family", "n", "passed", "witness"}: inside a dict, json writes a
+    str as ``json.dumps`` of that str, an int by ``repr`` and a bool as true
+    or false.  Every check is of ``family``, so its name is encoded once."""
+    name = json.dumps(family)
+    for check in checks:
         passed = "true" if check.passed else "false"
-        yield f'{{"family": {family}, "n": {check.n!r}, "passed": {passed}, "witness": {json.dumps(check.witness)}}}\n'
+        yield f'{{"family": {name}, "n": {check.n!r}, "passed": {passed}, "witness": {json.dumps(check.witness)}}}\n'
 
 
 def _cmd_verify(args) -> int:
-    report = search.verify_family(args.family, args.range)
-    if args.jsonl:
-        for line in _verify_lines(report):
-            sys.stdout.write(line)
-    else:
-        for line in report.lines():
-            print(line)
-    return 0 if report.passed else 1
+    # each line is written as its check is made, so memory stays flat in the
+    # range and `| head` stops the work; only the counts are kept
+    counts = [0, 0]  # checks passed, checks made
+
+    def counted(checks):
+        for check in checks:
+            counts[0] += check.passed
+            counts[1] += 1
+            yield check
+
+    checks = counted(search._checks(args.family, args.range))
+    lines = _verify_lines(args.family, checks) if args.jsonl else (check.line() + "\n" for check in checks)
+    for line in lines:
+        sys.stdout.write(line)
+    good, total = counts
+    if not args.jsonl:
+        print(search._summary(args.family, good, total))
+    return 0 if good == total else 1
 
 
 def _cmd_search(args) -> int:

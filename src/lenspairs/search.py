@@ -21,6 +21,8 @@ deterministic order.
 knot pairs sharing a surgery slope and a lens space; each names its two
 knots as (family, params) ints and the slope denominator, and one that
 follows the Fibonacci or Pell numbers takes them from ``sequences._walk``.
+Its report is built from ``_checks``, which makes one check at a time, so
+that the CLI can write each line as soon as its check is made.
 ``verify_no_nonintegral_pairs`` confirms at desk scale that two distinct
 torus knots never share a lens space under a common slope of denominator
 three or more.  Both take from ``knots._shared_lens_slopes`` the slopes
@@ -273,6 +275,15 @@ class FamilyCheck(NamedTuple):
     passed: bool
     witness: str
 
+    def line(self) -> str:
+        """The check as plain ``verify`` output prints it."""
+        return f"{'PASS' if self.passed else 'FAIL'} {self.family} n={self.n} witness={self.witness}"
+
+
+def _summary(family: str, good: int, total: int) -> str:
+    # the last line of plain verify output
+    return f"{family}: {good}/{total} instances verified"
+
 
 @dataclass(frozen=True)
 class FamilyReport:
@@ -284,36 +295,32 @@ class FamilyReport:
         return all(check.passed for check in self.checks)
 
     def lines(self) -> list[str]:
-        out = [
-            f"{'PASS' if c.passed else 'FAIL'} {c.family} n={c.n} witness={c.witness}"
-            for c in self.checks
-        ]
-        good = sum(c.passed for c in self.checks)
-        out.append(f"{self.family}: {good}/{len(self.checks)} instances verified")
+        out = [check.line() for check in self.checks]
+        out.append(_summary(self.family, sum(c.passed for c in self.checks), len(self.checks)))
         return out
 
 
-def verify_family(family: str, n_range) -> FamilyReport:
-    """Check every instance n: the two knots share exactly one lens slope
-    m/den in the family table, their lens spaces there are homeomorphic,
-    and the two knots are certified distinct.  The witness writes the
-    knots, the slope and the two lens spaces as ``KnotDescriptor``,
-    ``SurgerySlope`` and ``LensSpace`` print them."""
+def _checks(family: str, n_range):
+    # The checks of ``verify_family``, made and yielded one instance at a time in
+    # increasing n, so that a caller keeps only those it wants.  A range is walked
+    # as it is, reversed if its step is negative, and never listed.
     if family not in _VERIFY:
         raise InvalidIndex(f"unknown verification family {family!r}")
     low, den, walk, knots_of = _VERIFY[family]
-    ns = sorted(set(n_range))
+    if isinstance(n_range, range):
+        ns = n_range if n_range.step > 0 else n_range[::-1]
+    else:
+        ns = sorted(set(n_range))
     if not ns:
         raise InvalidIndex("empty index range")
     if ns[0] < low:
         raise InvalidIndex(f"{family} needs n >= {low}, got {ns[0]}")
     instances = map(knots_of, ns, _walk(walk, ns)) if walk else map(knots_of, ns)
-    checks = []
     for n, ((family1, params1), (family2, params2)) in zip(ns, instances):
         shared = _shared_lens_slopes(family1, params1, family2, params2, (den,))
         knots = f"{_knot_text(family1, params1)} & {_knot_text(family2, params2)}"
         if len(shared) != 1:
-            checks.append(FamilyCheck(family, n, False, f"{knots} share {len(shared)} lens slopes m/{den}, not one"))
+            yield FamilyCheck(family, n, False, f"{knots} share {len(shared)} lens slopes m/{den}, not one")
             continue
         ((_, m, q1, q2, same),) = shared
         ok = same and _distinct(family1, params1, family2, params2) == "distinct"
@@ -322,8 +329,16 @@ def verify_family(family: str, n_range) -> FamilyReport:
         text = str(m)
         slope = text if slope_m == m else slope_m
         witness = f"{knots} @ {slope}/{slope_n} -> {_lens_text(text, q1)} ~ {_lens_text(text, q2)}"
-        checks.append(FamilyCheck(family, n, ok, witness))
-    return FamilyReport(family, tuple(checks))
+        yield FamilyCheck(family, n, ok, witness)
+
+
+def verify_family(family: str, n_range) -> FamilyReport:
+    """Check every instance n: the two knots share exactly one lens slope
+    m/den in the family table, their lens spaces there are homeomorphic,
+    and the two knots are certified distinct.  The witness writes the
+    knots, the slope and the two lens spaces as ``KnotDescriptor``,
+    ``SurgerySlope`` and ``LensSpace`` print them."""
+    return FamilyReport(family, tuple(_checks(family, n_range)))
 
 
 @dataclass(frozen=True)

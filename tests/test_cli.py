@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import hypothesis
@@ -425,7 +426,82 @@ def test_verify_lines_are_json_dumps_of_each_check(family, checks):
             json.dumps({"family": family, "n": n, "passed": passed, "witness": witness}) + "\n"
             for n, passed, witness in checks
         ]
-        assert list(cli._verify_lines(report)) == expected
+        assert list(cli._verify_lines(report.family, report.checks)) == expected
+
+
+
+def _verify_spans():
+    # a dozen instances of each construction, from its first n
+    for family in search.VERIFY_FAMILIES:
+        low = search._VERIFY[family][0]
+        yield family, f"{low}..{low + 11}", range(low, low + 12)
+
+
+def _with_a_failing_instance(monkeypatch, family, bad_n):
+    # instance bad_n of family becomes torus(2,3) & torus(2,5), which share no lens slope
+    low, den, walk, knots_of = search._VERIFY[family]
+
+    def failing(n, *walked):
+        return (("torus", (2, 3)), ("torus", (2, 5))) if n == bad_n else knots_of(n, *walked)
+
+    monkeypatch.setitem(search._VERIFY, family, (low, den, walk, failing))
+
+
+@pytest.mark.parametrize("family,span,ns", _verify_spans())
+@pytest.mark.parametrize("bad_n", [None, "second"])
+def test_verify_streams_the_lines_of_its_report(monkeypatch, capsys, family, span, ns, bad_n):
+    if bad_n:
+        _with_a_failing_instance(monkeypatch, family, ns[1])
+    report = search.verify_family(family, ns)
+    code = 1 if bad_n else 0
+    assert run(["--jsonl", "verify", family, "--range", span]) == code
+    assert capsys.readouterr().out.splitlines() == [json.dumps(check._asdict()) for check in report.checks]
+    assert run(["verify", family, "--range", span]) == code
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == report.lines()
+    assert lines[-1] == f"{family}: {12 - bool(bad_n)}/12 instances verified"
+
+
+class _Sink:
+    """A stdout that keeps nothing and raises BrokenPipeError once ``lines`` lines are written."""
+
+    def __init__(self, lines=None):
+        self.lines, self.written = lines, 0
+
+    def write(self, text):
+        if self.written == self.lines:
+            raise BrokenPipeError(32, "Broken pipe")
+        self.written += text.count("\n")
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("jsonl", [["--jsonl"], []])
+def test_verify_memory_is_flat_in_the_range(monkeypatch, jsonl):
+    # while verify kept every check before its first line, the peak that tracemalloc traced at
+    # torus_torus 1..3000 was 13.4 MiB under --jsonl and 26.1 MiB in plain text; streamed, it
+    # is below 0.3 MiB
+    monkeypatch.setattr(sys, "stdout", _Sink())
+    tracemalloc.start()
+    try:
+        assert run([*jsonl, "verify", "torus_torus", "--range", "1..3000"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("jsonl", [["--jsonl"], []])
+def test_a_closed_stdout_stops_verify_at_once(monkeypatch, jsonl):
+    built = []
+    low, den, walk, knots_of = search._VERIFY["torus_cable"]
+    monkeypatch.setitem(search._VERIFY, "torus_cable", (low, den, walk, lambda n: built.append(n) or knots_of(n)))
+    monkeypatch.setattr(sys, "stdout", _Sink(lines=1))
+    with pytest.raises(BrokenPipeError):
+        run([*jsonl, "verify", "torus_cable", "--range", "1..10000"])
+    assert built == [1, 2]  # the second line is made, and its write meets the closed pipe
 
 
 # sha256 of `verify` stdout, plain and --jsonl, at the benchmark's ranges, recorded before

@@ -6,6 +6,8 @@ import json
 import itertools
 import math
 import os
+import subprocess
+import sys
 import threading
 import time
 import warnings
@@ -605,6 +607,31 @@ def test_verify_family_lines_format():
     assert len(lines) == 4
     assert all(line.startswith("PASS torus_torus n=") for line in lines[:3])
     assert lines[3].endswith("3/3 instances verified")
+
+
+def test_verify_family_checks_each_n_once_in_increasing_order():
+    expected = verify_family("torus_torus", range(1, 4))
+    for ns in ([3, 1, 2, 2], range(3, 0, -1), (n for n in (2, 3, 1))):
+        assert verify_family("torus_torus", ns) == expected
+    assert verify_family("torus_cable", range(7, 0, -2)) == verify_family("torus_cable", [1, 3, 5, 7])
+
+
+def test_verify_checks_a_huge_range_without_listing_it():
+    # listing range(1, 10**12) takes tens of GB; the child may map 1 GiB, so a
+    # range that is listed ends in a MemoryError and not in the machine's memory
+    resource = pytest.importorskip("resource")
+    code = (
+        "import itertools; from lenspairs import search; "
+        "first = list(itertools.islice(search._checks('torus_cable', range(1, 10**12)), 3)); "
+        "assert first == list(search.verify_family('torus_cable', range(1, 4)).checks), first; "
+        "print('ok')"
+    )
+    src = os.path.dirname(os.path.dirname(search.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    limit = lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60,
+                          preexec_fn=limit)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "ok\n", "")
 
 
 def test_verify_family_bad_ranges():

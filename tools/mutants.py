@@ -44,6 +44,8 @@ DISTINCT = "tests/test_family_table.py::test_distinct_matches_rules_on_every_ord
 CLI_OUTPUTS = "tests/test_cli.py::test_single_index_not_lens_and_no_solution_outputs"
 WINDOW_WALK = "tests/test_bqf.py::test_representatives_match_window_walk"
 SHARD_LAYOUT = "tests/test_search.py::test_shards_tile_the_orders_within_the_cap"
+VERIFY_STREAM = "tests/test_cli.py::test_verify_streams_the_lines_of_its_report"
+VERIFY_ORDER = "tests/test_search.py::test_verify_family_checks_each_n_once_in_increasing_order"
 
 MUTANTS = (
     Mutant("run member without its gcd", KNOTS,
@@ -104,6 +106,20 @@ MUTANTS = (
     Mutant("verify witness writes its slope unreduced", SEARCH,
            "slope_m, slope_n = _reduced_slope(m, den)", "slope_m, slope_n = m, den",
            ("tests/test_search.py::test_verify_witness_writes_the_slope_and_spaces_as_their_objects_do",)),
+    Mutant("verify summary counts only the last check as passed", CLI,
+           "counts[0] += check.passed", "counts[0] = check.passed", (VERIFY_STREAM,)),
+    Mutant("verify counts only the last check made", CLI,
+           "counts[1] += 1", "counts[1] = 1", (VERIFY_STREAM,)),
+    Mutant("verify makes every check before its first line", CLI,
+           "checks = counted(search._checks(args.family, args.range))",
+           "checks = counted(tuple(search._checks(args.family, args.range)))",
+           ("tests/test_cli.py::test_verify_memory_is_flat_in_the_range",
+            "tests/test_cli.py::test_a_closed_stdout_stops_verify_at_once")),
+    Mutant("verify takes a negative-step range as already sorted", SEARCH,
+           "ns = n_range if n_range.step > 0 else n_range[::-1]", "ns = n_range", (VERIFY_ORDER,)),
+    Mutant("verify lists a range before its first check", SEARCH,
+           "ns = n_range if n_range.step > 0 else n_range[::-1]", "ns = sorted(set(n_range))",
+           ("tests/test_search.py::test_verify_checks_a_huge_range_without_listing_it",)),
     Mutant("sequence walk never restarts", "src/lenspairs/sequences.py",
            "if n - 1 != last:", "if last is None:", ("tests/test_sequences.py::test_walk_matches_pair_and_fib_pair",)),
     Mutant("window bound never exact", BQF,
