@@ -309,6 +309,21 @@ def test_generate_solutions():
         generate_solutions(F, 0, 3)
 
 
+# each form has an orbit whose y grows under the inverse unit, so its walk must keep to the inverse
+@pytest.mark.parametrize("form,m", [
+    (QuadForm(-4, -4, 2), 2), (QuadForm(1, -2, -1), 2), (QuadForm(1, -3, -1), -3), (QuadForm(1, 0, -5), -1),
+    (QuadForm(1, 0, -3), -3), (QuadForm(1, 0, -2), -2),
+])
+def test_generate_solutions_walks_each_orbit_towards_growing_y(form, m):
+    count = 4
+    sols = generate_solutions(form, m, count)
+    box = set(solutions_in_box(form, m, max(max(abs(sol.x), abs(sol.y)) for sol in sols)))
+    for i in range(0, len(sols), count):
+        chain = sols[i:i + count]
+        assert set(chain) <= box and len(set(chain)) == count
+        assert [sol.y for sol in chain] == sorted(sol.y for sol in chain)
+
+
 def test_generate_solutions_at_count_one_are_the_representatives():
     # F = -1 has no solutions
     for form, m in ((F, 1), (F, -1), (G, 1), (G, -1), (QuadForm(1, 1, -60), 1), (QuadForm(1, 0, -2), 7)):

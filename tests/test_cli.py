@@ -2,12 +2,11 @@ import argparse
 import contextlib
 import hashlib
 import json
-import os
 import re
 import subprocess
 import sys
+import threading
 import tracemalloc
-from pathlib import Path
 
 import hypothesis
 import hypothesis.strategies as st
@@ -17,6 +16,7 @@ from lenspairs import cli, knots, search
 from lenspairs.cli import build_parser, run
 from lenspairs.search import FamilyCheck, FamilyReport, SearchConfig
 from lenspairs.sequences import IDENTITIES, fib
+from test_pins import DIGESTS, fresh_env, run_fresh
 
 HAS_DIGIT_LIMIT = hasattr(sys, "get_int_max_str_digits")
 
@@ -290,17 +290,9 @@ def test_slope_roundtrip_format(capsys):
     assert obj["slope"] == "13/1"
 
 
-def _fresh_env():
-    # the source tree this test imported, and a fixed width for argparse's usage text
-    src = str(Path(cli.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return dict(os.environ, PYTHONPATH=path, COLUMNS="80")
-
-
 def _fresh(argv):
-    proc = subprocess.run([sys.executable, "-m", "lenspairs", *argv], capture_output=True, text=True,
-                          env=_fresh_env(), timeout=60)
-    return proc.returncode, proc.stdout, proc.stderr
+    code, out, err = run_fresh(["-m", "lenspairs", *argv], 60)
+    return code, out.decode(), err.decode()
 
 
 @pytest.mark.parametrize("sequence", [
@@ -331,21 +323,25 @@ def test_run_builds_the_parser_once(monkeypatch, capsys):
 def test_import_loads_no_process_pool():
     code = ("import sys, lenspairs.cli; "
             "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_fresh_env(),
-                          timeout=60, check=True)
-    assert proc.stdout == "[]\n"
+    assert run_fresh(["-c", code], 60)[:2] == (0, b"[]\n")
 
 
 def test_closed_stdout_exits_141_without_a_traceback():
-    # about 360 kB of output, far more than a pipe buffers, so the writer meets the closed pipe
-    argv = [sys.executable, "-m", "lenspairs", "verify", "torus_cable", "--range", "1..3000"]
-    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_fresh_env())
-    first = proc.stdout.readline()
-    proc.stdout.close()
-    err = proc.stderr.read()
-    proc.stderr.close()
-    assert proc.wait(timeout=60) == 141
-    assert first.startswith(b"PASS torus_cable n=1 ")
+    # verify prints its first line at once, so `| head -1` ends a range far too long to finish
+    argv = [sys.executable, "-m", "lenspairs", "--jsonl", "verify", "torus_torus", "--range", "1..100000"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=fresh_env())
+    deadline = threading.Timer(20, proc.kill)  # as `timeout 20`: a run still going at 20 s exits -9
+    deadline.start()
+    try:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == 141
+    finally:
+        deadline.cancel()
+    assert first == (b'{"family": "torus_torus", "n": 1, "passed": true, '
+                     b'"witness": "torus(3,4) & torus(2,7) @ 13/1 -> L(13,3) ~ L(13,10)"}\n')
     assert err == b""
 
 
@@ -504,40 +500,9 @@ def test_a_closed_stdout_stops_verify_at_once(monkeypatch, jsonl):
     assert built == [1, 2]  # the second line is made, and its write meets the closed pipe
 
 
-# sha256 of `verify` stdout, plain and --jsonl, at the benchmark's ranges, recorded before
-# instances were checked on plain ints
-VERIFY_DIGESTS = {
-    ("torus_torus", "1..1000"): (
-        "830f2091593b502597f2ca604ab6bec079640828bf4e4ed54d8d80d9d18e5c89",
-        "35c8caf06b04fd8afd41251347e49bc1dd2c5be4c376dda86446f8ca1b22febd",
-    ),
-    ("torus_torus_half", "1..500"): (
-        "3ed15efaa010cb4bdd5f1a6266ac39f150f5ad1ddf953baa26c5572ec343e431",
-        "fa6f4ce20680940dab6dcfaaf616ebb496654c53873d6fd9f574a247e7c8ab99",
-    ),
-    ("torus_cable", "1..10000"): (
-        "3a3c23716059735906e97c41155ee9ded3fcde2097191d70fc28adccce4b6c7d",
-        "77c646c03c02a3306417667b771e2dc5494067d920bb3b3d64fd62d3fc09bc49",
-    ),
-    ("tangle_kplus", "1..2000"): (
-        "39d99f00a5309166c1386295d890f54b0a20f1f4e3aac2e45b3cd2522077428a",
-        "21fa34c5c0421d0ba7a985e67a44aa73a946d9d46424063313638039a22e43f2",
-    ),
-    ("torus_tangle", "1..10000"): (
-        "7e798a6acc975741d6d1746915cb1b138530d829bb7d0d1403db55e322f2cd29",
-        "f584b4853af8c2d47320369c3b36b67f92d9678657c8f12f9ec94180c43360da",
-    ),
-    ("cable_kplus", "3..16"): (
-        "5b8152014e83148301af83781f1d1a209caef46c04bf2a3234c256bb0bfd2a5e",
-        "84009925f6f6b0986dff9317212363414157e75253e98f0f0a3e13f3494466d4",
-    ),
-}
-
-
-@pytest.mark.parametrize("family,span", VERIFY_DIGESTS)
+@pytest.mark.parametrize("family,span", [(argv[1], argv[3]) for argv in DIGESTS if argv[0] == "verify"])
 def test_verify_output_bytes(family, span, capsys):
-    digests = []
-    for argv in (["verify", family, "--range", span], ["--jsonl", "verify", family, "--range", span]):
-        assert run(argv) == 0
-        digests.append(hashlib.sha256(capsys.readouterr().out.encode()).hexdigest())
-    assert tuple(digests) == VERIFY_DIGESTS[family, span]
+    # in-process, verify prints the bytes pinned for a fresh interpreter
+    for argv in (("verify", family, "--range", span), ("--jsonl", "verify", family, "--range", span)):
+        assert run(list(argv)) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == DIGESTS[argv]

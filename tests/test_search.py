@@ -40,6 +40,7 @@ from lenspairs.search import (
 from lenspairs.sequences import InvalidIndex
 import oracles
 from oracles import torus_pairs_sharing_a_product
+from test_pins import DIGESTS, SEARCH_CI
 
 
 def test_config_validation():
@@ -186,10 +187,10 @@ def test_ci_bound_three_member_records(ci_records):
 
 
 def test_ci_bound_jsonl_bytes(ci_records):
-    # the 568 records at the CI bounds, pinned byte for byte
+    # the 568 records at the CI bounds, in-process, are the bytes pinned for `search --jsonl`
     text = "".join(record.to_json() + "\n" for record in ci_records)
     digest = hashlib.sha256(text.encode()).hexdigest()
-    assert digest == "4731e0bc6da12506049eea1136611c6f4f3515c2320ee58b93637b01c4f3f9f0"
+    assert digest == DIGESTS[("--jsonl", "search", *SEARCH_CI.split(), "--workers", "1")]
 
 
 def test_ci_bound_search_leaves_the_cyclic_gc_idle():
@@ -651,6 +652,11 @@ def test_no_nonintegral_pairs():
     assert ((15, 2), (10, 3)) in report.pairs
     # every pair is checked at both signs for every denominator
     assert report.checked == len(report.pairs) * 4 * 2
+    # every denominator 3..16 that the search allows, for parameters up to 150, within 60 s
+    start = time.perf_counter()
+    report = verify_no_nonintegral_pairs(150, 3, 16)
+    assert time.perf_counter() - start < 60
+    assert report.clean and len(report.pairs) == 2139 and report.checked == 59892
 
 
 @pytest.mark.parametrize("p_max", [10, 12, 40, 60])

@@ -133,6 +133,9 @@ MUTANTS = (
     Mutant("LMM solution without its parity test", BQF,
            "if big_q == 1 and (k % 2 == 0) == (n > 0):", "if big_q == 1:",
            ("tests/test_bqf.py::test_orbit_representatives", WINDOW_WALK)),
+    Mutant("orbit walk leaves the inverse unit after its first step", BQF,
+           "use_inverse = nxt == backward and nxt != forward", "use_inverse = nxt != backward and nxt != forward",
+           ("tests/test_bqf.py::test_generate_solutions_walks_each_orbit_towards_growing_y",)),
     Mutant("divisibility scan divides by a zero modulus", BQF,
            "                            if modulus == 0:\n                                continue\n", "",
            ("tests/test_bqf.py::test_divisibility_scan_skips_a_zero_modulus",)),
