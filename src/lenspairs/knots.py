@@ -27,10 +27,11 @@ command line derives its ``--*-max`` flag from the field.
 Only this module reads the table's lens slopes and the search rows made
 from them.  Its entry points on (family, params) ints, for callers that
 make no knot object: ``_check_knot``, ``_knot_text`` and ``_distinct``
-validate, write and tell apart knots; ``_shared_lens_slopes`` checks a pair
-of knots at one slope denominator; ``_surgeries`` lists every knot and lens
-slope of a search, and ``_shared_buckets`` the lens classes that two or
-more of them share within a range of orders.
+validate, write and tell apart knots; ``_shared_lens_slopes`` compares the
+lens spaces of two valid knots at the slopes they share, trusting the
+table lemma stated above ``_TABLE``; ``_surgeries`` lists every knot and
+lens slope of a search, and ``_shared_buckets`` the lens classes that two
+or more of them share within a range of orders.
 
 A search row is two ints: a key that packs the slope m/n and q_min, the
 least parameter of the unoriented class of its lens space, and an ident
@@ -51,7 +52,7 @@ from dataclasses import dataclass
 from math import gcd, isqrt
 
 from .dualknot import _KPLUS_RULE, _kplus_pqk, _kplus_valid, kplus_is_hyperbolic
-from .lens import LensSpace, _class_min, _reduced_q, _same_class, make_lens
+from .lens import LensSpace, _class_min, _same_class, make_lens
 
 __all__ = [
     "FAMILIES",
@@ -359,11 +360,15 @@ class _Family:
 
 
 # One entry per family, in FAMILIES order (the key order); each line of an entry is one aspect.
+# The table lemma: for a knot that ``valid`` accepts, every slope (m, q) that ``slopes`` lists
+# has m >= 1 and gcd(m, q) = 1, so L(m, q) is a lens space.  Each entry proves it in its
+# "lemma:" comment; ``_shared_lens_slopes`` relies on it, and tier-1 tests it.
 _TABLE = {
     "torus": _Family(
         arity=2, text="torus({},{})", rows=_torus_rows, cap="torus_max",
         valid=lambda p, q: p >= 2 and q >= 2 and gcd(p, q) == 1, rule="parameters must be coprime and >= 2",
         slopes=_torus_slopes,
+        # lemma: m = n*p*q -+ 1 = -+1 (mod n*q), so gcd(m, n*q^2) = 1, and m >= 2*3 - 1
         other=lambda m, n, p, q: ReducibleTwoLens(p, q) if (m, n) == (p * q, 1) else _NO_LENS,
         genus=lambda p, q: (p - 1) * (q - 1) // 2, symmetric=True, types=frozenset({"torus"}),
     ),
@@ -372,6 +377,7 @@ _TABLE = {
         valid=lambda a, b, eps: a >= 2 and b >= 2 and gcd(a, b) == 1 and eps in (1, -1),
         rule="companion parameters must be coprime and >= 2 and the sign +1 or -1",
         slopes=_integral(lambda a, b, eps: (4 * a * b + eps, 4 * b * b)),
+        # lemma: m = 4ab + eps is odd and = eps (mod b), so gcd(m, 4b^2) = 1
         other=lambda m, n, a, b, eps: _CABLING if (m, n) == (4 * a * b + 2 * eps, 1) else _NO_LENS,
         symmetric=True, types=frozenset({"satellite"}),
     ),
@@ -379,6 +385,7 @@ _TABLE = {
         arity=2, text="kplus({},{})", rows=_kplus_rows, cap="kplus_max",
         valid=_kplus_valid, rule=_KPLUS_RULE,
         slopes=_integral(lambda a, b: _kplus_pqk(a, b)[:2]),
+        # lemma: gcd(b, m) = gcd(b, a^2) = 1 and a + b is a unit, as m = (a+b)^2 - ab, so w^2 is a unit
         genus=lambda a, b: ((a + b - 1) ** 2 - a * b) // 2, symmetric=True,
         hyperbolic=kplus_is_hyperbolic,  # phi >= 2
     ),
@@ -386,6 +393,7 @@ _TABLE = {
         arity=1, text="tangleHH({})", rows=_index_rows, cap="tangle_max",
         valid=lambda n: n >= 1, rule="index must be >= 1",
         slopes=_integral(lambda n: (27 * n * n + 45 * n + 21, -(9 * n * n + 12 * n + 5))),
+        # lemma: m = 3q' + 3(3n+2), with q' = (3n+2)^2 + 1 prime to 3(3n+2)
         genus=lambda n: (27 * n * n + 33 * n + 10) // 2,
         types=frozenset({"satellite", "hyperbolic"}),  # hyperbolic by construction, which nothing here checks
     ),
@@ -396,6 +404,7 @@ _TABLE = {
         arity=1, text="tangleTH({})", rows=_index_rows, cap="tangle_max",
         valid=lambda n: n >= 1, rule="index must be >= 1",
         slopes=_integral(lambda n: (18 * n * n + 33 * n + 15, -(18 * n + 19))),
+        # lemma: m = 3(n+1)(6n+5), while 18n+19 = 18(n+1) + 1 and 18n+19 - 3(6n+5) = 4, 18n+19 odd
         types=frozenset({"satellite", "hyperbolic"}),  # hyperbolic by construction, which nothing here checks
     ),
 }
@@ -508,13 +517,16 @@ def _knot_text(family: str, params: tuple) -> str:
 
 def _shared_lens_slopes(family1: str, params1: tuple, family2: str, params2: tuple, dens) -> list:
     """(den, m, q1, q2, same) for each lens slope m/den of both knots, den
-    running over ``dens``, once ``_check_knot`` has passed each knot: the
-    first knot gives L(m, q1) and the second L(m, q2), both parameters
-    validated and reduced as ``make_lens`` does, and ``same`` tells whether
-    the two spaces are homeomorphic.  Within a denominator the slopes come
-    in the first knot's order."""
-    _check_knot(family1, params1)
-    _check_knot(family2, params2)
+    running over ``dens``: the first knot gives L(m, q1) and the second
+    L(m, q2), both parameters reduced mod m, and ``same`` tells whether the
+    two spaces are homeomorphic.  Within a denominator the slopes come in
+    the first knot's order.
+
+    The knots are trusted, not checked: its callers build them valid, and
+    each proves so beside its construction (``search._VERIFY`` and
+    ``verify_no_nonintegral_pairs``).  The table lemma then makes every
+    listed slope a lens space, m >= 1 and gcd(m, q) = 1, so ``q % m`` is
+    what ``make_lens`` would reduce it to.  Tier-1 tests both lemmas."""
     slopes1, slopes2 = _TABLE[family1].slopes, _TABLE[family2].slopes
     shared = []
     # a knot's lens slopes of one denominator have distinct orders m; a plain
@@ -524,7 +536,7 @@ def _shared_lens_slopes(family1: str, params1: tuple, family2: str, params2: tup
         for m, q1 in slopes1(den, *params1):
             for order, q2 in two:
                 if order == m:
-                    r1, r2 = _reduced_q(m, q1), _reduced_q(m, q2)
+                    r1, r2 = q1 % m, q2 % m
                     shared.append((den, m, r1, r2, _same_class(m, r1, r2)))
     return shared
 

@@ -36,13 +36,22 @@ class NotCoprime(ValueError):
     """Lens space parameters must satisfy gcd(p, q) = 1."""
 
 
-def _reduced_q(p: int, q: int) -> int:
-    """q mod p, once the order p >= 1 and gcd(p, q) = 1 are checked; the error names q as given."""
+def _check_order(p: int) -> None:
     if p < 1:
         raise InvalidOrder(f"order must be >= 1, got {p}")
+
+
+def _not_coprime(p: int, q: int) -> NotCoprime:
+    # the error names q as given, not as reduced
+    return NotCoprime(f"gcd({p}, {q}) != 1")
+
+
+def _reduced_q(p: int, q: int) -> int:
+    """q mod p, once the order p >= 1 and gcd(p, q) = 1 are checked."""
+    _check_order(p)
     reduced = q % p
     if gcd(p, reduced) != 1:
-        raise NotCoprime(f"gcd({p}, {q}) != 1")
+        raise _not_coprime(p, q)
     return reduced
 
 
@@ -81,7 +90,11 @@ class LensSpace:
 
 def make_lens(p: int, q: int) -> LensSpace:
     """Build L(p, q mod p), validating the order and coprimality."""
-    return LensSpace(p, _reduced_q(p, q))
+    _check_order(p)
+    try:
+        return LensSpace(p, q % p)  # whose own check takes the one gcd
+    except NotCoprime:
+        raise _not_coprime(p, q) from None
 
 
 def oriented_homeomorphic(first: LensSpace, second: LensSpace) -> bool:

@@ -256,13 +256,21 @@ def _fibonacci_cable_kplus(n, fib):
 # Each verified construction: its first n, its slope denominator, the sequence
 # that ``sequences._walk`` walks for it (or None), and the two knots of instance
 # n as (family, params), from n and, for a walked construction, the walk's pair
-# at n.
+# at n.  ``knots._shared_lens_slopes`` trusts these knots, so each entry proves
+# in its "valid:" comment that both are valid for every n from the first on;
+# tier-1 tests it.
 _VERIFY = {
+    # valid: gcd(F(n+3), F(n+1)) = F(gcd(n+3, n+1)) = 1, and F(n+2), F(n+3) are consecutive
     "torus_torus": (1, 1, "fibonacci", _fibonacci_tori),
+    # valid: gcd(a, 2a + b) = gcd(b, a + b) = gcd(a, b) = 1, as b^2 - 2a^2 = +-1
     "torus_torus_half": (1, 2, "pell", _pell_tori),
+    # valid: 2(2n+1) - (4n+4) = -2 with 2n+1 odd, and 2(n+1) - (2n+1) = 1
     "torus_cable": (1, 1, None, lambda n: (("torus", (2 * n + 1, 4 * n + 4)), ("cable", (n + 1, 2 * n + 1, 1)))),
+    # valid: gcd(F(n), F(n+2)) = F(gcd(n, n+2)) = 1, and F(n) >= 2 from n = 3
     "cable_kplus": (3, 1, "fibonacci", _fibonacci_cable_kplus),
+    # valid: gcd(3n+1, 3n+4) = gcd(3n+1, 3) = 1
     "tangle_kplus": (1, 1, None, lambda n: (("tangleHH", (n,)), ("kplus", (3 * n + 1, 3 * n + 4)))),
+    # valid: 6n+7 - 2(3n+2) = 3, which does not divide 3n+2
     "torus_tangle": (1, 1, None, lambda n: (("torus", (3 * n + 2, 6 * n + 7)), ("tangleTH", (n,)))),
 }
 
@@ -300,23 +308,33 @@ class FamilyReport:
         return out
 
 
+def _instances(family: str, ns):
+    """The two knots of each instance n of ns, in turn, as (family, params)
+    pairs; ns are ints from the construction's first n on."""
+    _, _, walk, knots_of = _VERIFY[family]
+    return map(knots_of, ns, _walk(walk, ns)) if walk else map(knots_of, ns)
+
+
 def _checks(family: str, n_range):
     # The checks of ``verify_family``, made and yielded one instance at a time in
     # increasing n, so that a caller keeps only those it wants.  A range is walked
     # as it is, reversed if its step is negative, and never listed.
     if family not in _VERIFY:
         raise InvalidIndex(f"unknown verification family {family!r}")
-    low, den, walk, knots_of = _VERIFY[family]
+    low, den, _, _ = _VERIFY[family]
     if isinstance(n_range, range):
         ns = n_range if n_range.step > 0 else n_range[::-1]
     else:
-        ns = sorted(set(n_range))
+        ns = list(n_range)
+        for n in ns:
+            if type(n) is not int:  # a bool is no index either
+                raise InvalidIndex(f"index must be an int, got {n!r}")
+        ns = sorted(set(ns))
     if not ns:
         raise InvalidIndex("empty index range")
     if ns[0] < low:
         raise InvalidIndex(f"{family} needs n >= {low}, got {ns[0]}")
-    instances = map(knots_of, ns, _walk(walk, ns)) if walk else map(knots_of, ns)
-    for n, ((family1, params1), (family2, params2)) in zip(ns, instances):
+    for n, ((family1, params1), (family2, params2)) in zip(ns, _instances(family, ns)):
         shared = _shared_lens_slopes(family1, params1, family2, params2, (den,))
         knots = f"{_knot_text(family1, params1)} & {_knot_text(family2, params2)}"
         if len(shared) != 1:
@@ -373,7 +391,7 @@ def verify_no_nonintegral_pairs(p_max: int, n_min: int, n_max: int) -> Nonintegr
     by_product: dict[int, list] = {}
     for p in range(3, p_max + 1):
         for q in range(2, p):
-            if gcd(p, q) == 1:
+            if gcd(p, q) == 1:  # so torus(p, q) is valid, as ``_shared_lens_slopes`` trusts
                 by_product.setdefault(p * q, []).append((p, q))
     dens = range(n_min, n_max + 1)
     pairs = []

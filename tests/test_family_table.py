@@ -2,22 +2,29 @@
 replaced (``tests/oracles.py``), on every small knot of all five families,
 the closed-form class minima of the search rows against ``pow``, and the
 verified constructions against the paper's slope formulas and against a
-report built instance by instance from the public objects."""
+report built instance by instance from the public objects.  The two facts
+that ``knots._shared_lens_slopes`` trusts, proved beside ``_TABLE`` and
+``search._VERIFY``, are tested here: the table lemma, and the validity of
+both knots of every construction."""
 
 from math import gcd
 
 import pytest
 
 import oracles
+from lenspairs import search
 from lenspairs.knots import (
+    FAMILIES,
     SurgerySlope,
     _TABLE,
+    _check_knot,
     _ident_width,
     _key_parts,
     _knot_of,
     _row_stream,
     _rows,
     _run_rows,
+    _shared_lens_slopes,
     cable,
     distinct,
     genus,
@@ -27,7 +34,7 @@ from lenspairs.knots import (
     tangle_th,
     torus,
 )
-from lenspairs.lens import homeomorphic
+from lenspairs.lens import homeomorphic, make_lens
 from lenspairs.search import VERIFY_FAMILIES, FamilyCheck, FamilyReport, SearchConfig, verify_family
 
 DENOMINATORS = (1, 2, 3)
@@ -144,18 +151,20 @@ def _assert_row_classes(knot, den):
         assert [_key_parts(key, width) for key in keys] == [(m, den, _class_min_by_pow(m, q))], (knot, den, m)
 
 
+def _coprime(st, lo, hi):
+    # a hypothesis strategy of coprime pairs in [lo, hi]
+    return st.tuples(st.integers(lo, hi), st.integers(lo, hi)).filter(lambda pair: gcd(*pair) == 1)
+
+
 def test_closed_form_inverses_property():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
-    def coprime(lo, hi):
-        return st.tuples(st.integers(lo, hi), st.integers(lo, hi)).filter(lambda pair: gcd(*pair) == 1)
-
     # (knot, slope denominator); only torus knots have lens slopes off denominator 1
     cases = st.one_of(
-        st.builds(lambda pq, den: (torus(*pq), den), coprime(2, 10**4), st.integers(1, 16)),
-        st.builds(lambda ab, eps: (cable(*ab, eps), 1), coprime(2, 10**4), st.sampled_from((-1, 1))),
-        coprime(1, 10**3).map(lambda ab: (kplus(*ab), 1)),
+        st.builds(lambda pq, den: (torus(*pq), den), _coprime(st, 2, 10**4), st.integers(1, 16)),
+        st.builds(lambda ab, eps: (cable(*ab, eps), 1), _coprime(st, 2, 10**4), st.sampled_from((-1, 1))),
+        _coprime(st, 1, 10**3).map(lambda ab: (kplus(*ab), 1)),
     )
 
     @hypothesis.settings(max_examples=300, deadline=None)
@@ -240,3 +249,139 @@ def test_verify_family_matches_the_oracle_report(family):
     assert report == _oracle_report(family, ns)
     gapped = [7, 3, 3, 100, 101, 102, 500]
     assert verify_family(family, gapped) == _oracle_report(family, gapped)
+
+
+def _coprime_pairs(lo, hi):
+    return [(a, b) for a in range(lo, hi + 1) for b in range(lo, hi + 1) if gcd(a, b) == 1]
+
+
+# a box of valid parameters for each family, and the slope denominators it is tested at
+LEMMA_BOX = {
+    "torus": (_coprime_pairs(2, 40), range(1, 17)),
+    "cable": ([(a, b, eps) for a, b in _coprime_pairs(2, 30) for eps in (-1, 1)], (1,)),
+    "kplus": (_coprime_pairs(1, 60), (1,)),
+    "tangleHH": ([(n,) for n in range(1, 2001)], (1,)),
+    "tangleTH": ([(n,) for n in range(1, 2001)], (1,)),
+}
+
+
+def assert_table_lemma(family, params_list=None, dens=None):
+    """Every slope (m, q) that the table lists for each knot of ``family``
+    with parameters in ``params_list`` at each denominator of ``dens`` (by
+    default its ``LEMMA_BOX``) is a lens space: ``make_lens(m, q)`` raises
+    nothing, so m >= 1 and gcd(m, q) = 1, and it raises what make_lens
+    raises where the lemma fails."""
+    box_params, box_dens = LEMMA_BOX[family]
+    for params in box_params if params_list is None else params_list:
+        _check_knot(family, params)
+        for den in box_dens if dens is None else dens:
+            for m, q in _TABLE[family].slopes(den, *params):
+                make_lens(m, q)
+
+
+def test_every_family_has_a_lemma_box():
+    assert set(LEMMA_BOX) == set(FAMILIES)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_table_lemma(family):
+    assert_table_lemma(family)
+
+
+def test_table_lemma_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    # (family, params, denominators); only torus knots have lens slopes off denominator 1
+    cases = st.one_of(
+        st.tuples(st.just("torus"), _coprime(st, 2, 10**12), st.just(range(1, 17))),
+        st.tuples(st.just("cable"),
+                  st.builds(lambda ab, eps: (*ab, eps), _coprime(st, 2, 10**12), st.sampled_from((-1, 1))),
+                  st.just((1,))),
+        st.tuples(st.just("kplus"), _coprime(st, 1, 10**12), st.just((1,))),
+        st.tuples(st.sampled_from(("tangleHH", "tangleTH")), st.integers(1, 10**12).map(lambda n: (n,)),
+                  st.just((1,))),
+    )
+
+    @hypothesis.settings(max_examples=400, deadline=None)
+    @hypothesis.given(cases)
+    def check(case):
+        family, params, dens = case
+        assert_table_lemma(family, [params], dens)
+
+    check()
+
+
+def assert_constructions_valid(family, ns=None):
+    """Both knots of each instance n of ``ns``, by default every n from the
+    construction's first to 3000, pass ``_check_knot``; the first knot is
+    checked first."""
+    if ns is None:
+        ns = range(search._VERIFY[family][0], 3001)
+    for first, second in search._instances(family, ns):
+        _check_knot(*first)
+        _check_knot(*second)
+
+
+@pytest.mark.parametrize("family", VERIFY_FAMILIES)
+def test_verified_constructions_are_valid_knots(family):
+    assert_constructions_valid(family)
+
+
+def test_verified_constructions_are_valid_knots_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    cases = st.sampled_from(VERIFY_FAMILIES).flatmap(
+        lambda family: st.tuples(st.just(family), st.integers(search._VERIFY[family][0], 10**4)))
+
+    @hypothesis.settings(max_examples=100, deadline=None)
+    @hypothesis.given(cases)
+    def check(case):
+        family, n = case
+        assert_constructions_valid(family, [n])
+
+    check()
+
+
+def _shared_by_objects(first, second, dens):
+    # the slopes m/den that the oracle's rules give both knots, each space from lens_surgery
+    shared = []
+    for den in dens:
+        orders = {m for m, _ in oracles._lens_slopes(second.family, second.params, den)}
+        for m, _ in oracles._lens_slopes(first.family, first.params, den):
+            if m in orders:
+                slope = SurgerySlope(m, den)
+                assert slope.n == den  # a lens slope m/den is reduced: m = -+1 (mod den) for a torus knot
+                one, two = lens_surgery(first, slope).space, lens_surgery(second, slope).space
+                shared.append((den, m, one.q, two.q, homeomorphic(one, two)))
+    return shared
+
+
+def test_shared_lens_slopes_match_lens_surgery():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    knot = st.one_of(
+        _coprime(st, 2, 200).map(lambda pq: torus(*pq)),
+        st.builds(lambda ab, eps: cable(*ab, eps), _coprime(st, 2, 200), st.sampled_from((-1, 1))),
+        _coprime(st, 1, 200).map(lambda ab: kplus(*ab)),
+        st.integers(1, 200).map(tangle_hh),
+        st.integers(1, 200).map(tangle_th),
+    )
+    sharing = st.sampled_from(oracles.torus_pairs_sharing_a_product(60)).map(
+        lambda pair: (torus(*pair[0]), torus(*pair[1])))
+    instance = st.sampled_from(VERIFY_FAMILIES).flatmap(
+        lambda family: st.integers(_first_n(family), 60).map(lambda n: oracles.family_pair(family, n)[:2]))
+    # random pairs, which seldom share a slope, and pairs that share slopes: one knot twice,
+    # torus knots of equal product, and the verified constructions
+    pairs = st.one_of(st.tuples(knot, knot), knot.map(lambda k: (k, k)), sharing, instance)
+
+    @hypothesis.settings(max_examples=400, deadline=None)
+    @hypothesis.given(pairs, st.booleans())
+    def check(pair, swap):
+        first, second = reversed(pair) if swap else pair
+        dens = range(1, 17)
+        found = _shared_lens_slopes(first.family, first.params, second.family, second.params, dens)
+        assert found == _shared_by_objects(first, second, dens), (first, second)
+
+    check()

@@ -57,6 +57,9 @@ PINS = (
         ("--jsonl", "cable_kplus", "3..16", "84009925f6f6b0986dff9317212363414157e75253e98f0f0a3e13f3494466d4"),
         ("--jsonl", "torus_torus", "1..3000", "39933b54027c1d1721017576bf11dd89502f098eccbf3d425892a769eb7e2ac3"),
         ("--jsonl", "torus_torus_half", "1..2000", "32b010eaab20b967e3dc891229efe0d93ea80ebc732e332bc2226aa58b11fe52"),
+        # Fibonacci and Pell scale: parameters of about 2000 digits
+        ("--jsonl", "torus_torus", "9991..10000", "06c7341cf74a61bf9aedc59bf799d55251fc7782fbd69bd11795dd422969671a"),
+        ("--jsonl", "torus_torus_half", "4991..5000", "62961e36258839698188165aca9f8e087b4aadc05f9aae1e9ab8890174c5b508"),
     )),
     # a large prime dividing the discriminant, which solve must not walk the residues of
     Pin((("bqf", "solve", "1", "0", "-1000000007", "1000000007", "--count", "1"),), 10, None),

@@ -6,6 +6,7 @@ import json
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -40,6 +41,7 @@ from lenspairs.search import (
 from lenspairs.sequences import InvalidIndex
 import oracles
 from oracles import torus_pairs_sharing_a_product
+from test_family_table import assert_constructions_valid, assert_table_lemma
 from test_pins import DIGESTS, SEARCH_CI
 
 
@@ -534,17 +536,16 @@ def test_verify_fails_unless_exactly_one_shared_slope(monkeypatch, capsys, knots
     ((("torus", (2, 3, 5)), ("torus", (2, 3))), 0),
     ((("torus", (2, 3)), ("moebius", (1,))), 1),
 ])
-def test_verify_raises_what_a_knot_descriptor_raises(monkeypatch, capsys, instance, culprit):
+def test_verify_raises_what_a_knot_descriptor_raises(monkeypatch, instance, culprit):
+    # verify trusts the knots that ``search._VERIFY`` builds, so a construction
+    # edited to name an invalid knot is caught by the tier-1 oracle over its
+    # instances, which raises what the knot's descriptor raises
     monkeypatch.setitem(search._VERIFY, "torus_torus", (1, 1, None, lambda n: instance))
     with pytest.raises(InvalidKnot) as expected:
         KnotDescriptor(*instance[culprit])
     with pytest.raises(InvalidKnot) as raised:
-        verify_family("torus_torus", range(1, 3))
+        assert_constructions_valid("torus_torus")
     assert str(raised.value) == str(expected.value)
-    assert run(["verify", "torus_torus", "--range", "1..2"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith(f"error: {expected.value}\n")
 
 
 def test_verify_builds_no_knot_descriptor(monkeypatch):
@@ -560,6 +561,40 @@ def test_verify_builds_no_knot_descriptor(monkeypatch):
     assert verify_family("torus_cable", range(1, 200)).passed
     assert verify_no_nonintegral_pairs(40, 3, 6).clean
     assert built == []
+
+
+def test_verify_checks_no_knot_and_no_lens_parameter(monkeypatch):
+    # the table lemma and each construction's proof stand in for these checks, so
+    # neither the verify families nor the nonintegral scan make one; the phi
+    # certificate's own DualKnotTriple check reads dualknot's name, not counted
+    calls = {"knot": 0, "lens": 0}
+
+    def counted(name, check):
+        def wrapper(*args):
+            calls[name] += 1
+            return check(*args)
+        return wrapper
+
+    monkeypatch.setattr(knots, "_check_knot", counted("knot", knots._check_knot))
+    monkeypatch.setattr(lens, "_reduced_q", counted("lens", lens._reduced_q))
+    monkeypatch.setattr(knots, "_reduced_q", counted("lens", lens._reduced_q), raising=False)
+    assert (torus(2, 3), make_lens(5, 7)) and calls == {"knot": 1, "lens": 1}  # the counters see a check
+    calls.update(knot=0, lens=0)
+    for family, (low, *_) in search._VERIFY.items():
+        assert verify_family(family, range(low, low + 200)).passed, family
+    assert verify_no_nonintegral_pairs(40, 3, 6).clean
+    assert calls == {"knot": 0, "lens": 0}
+
+
+@pytest.mark.parametrize("index", [True, 1.5, "3"])
+def test_verify_takes_only_int_indices(capsys, index):
+    for ns in ([index], [2, index]):
+        with pytest.raises(InvalidIndex, match=f"^index must be an int, got {re.escape(repr(index))}$"):
+            for check in search._checks("tangle_kplus", ns):
+                print(check.line())
+        assert capsys.readouterr().out == ""  # raised before the first line
+        with pytest.raises(InvalidIndex):
+            verify_family("tangle_kplus", ns)
 
 
 def _tangles_sharing(monkeypatch, m, q1, q2, den):
@@ -578,19 +613,19 @@ def _tangles_sharing(monkeypatch, m, q1, q2, den):
     (0, 1, 1, InvalidOrder),
     (-7, 1, 2, InvalidOrder),
 ])
-def test_verify_raises_what_make_lens_raises(monkeypatch, capsys, m, q1, q2, error):
+def test_verify_raises_what_make_lens_raises(monkeypatch, m, q1, q2, error):
+    # verify trusts the table lemma, so a table edited to list a slope that
+    # gives no lens space is caught by the tier-1 oracle of the lemma, which
+    # raises what make_lens raises
     _tangles_sharing(monkeypatch, m, q1, q2, 1)
     with pytest.raises(error) as expected:
         make_lens(m, q1)
         make_lens(m, q2)
     with pytest.raises(error) as raised:
-        verify_family("torus_tangle", range(1, 3))
+        for family in FAMILIES:
+            assert_table_lemma(family)
     assert type(raised.value) is type(expected.value)
     assert str(raised.value) == str(expected.value)
-    assert run(["verify", "torus_tangle", "--range", "1..2"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith(f"error: {expected.value}\n")
 
 
 def test_verify_witness_writes_the_slope_and_spaces_as_their_objects_do(monkeypatch):
@@ -695,11 +730,12 @@ def test_no_nonintegral_pairs_reports_a_planted_collision(monkeypatch):
 
 
 def test_no_nonintegral_pairs_raises_what_make_lens_raises(monkeypatch):
+    # the scan trusts the table lemma too, and its tier-1 oracle catches the plant
     _plant_torus_parameter(monkeypatch, 10, 3, 3, {91: 7})
     with pytest.raises(NotCoprime) as expected:
         make_lens(91, 7)
     with pytest.raises(NotCoprime) as raised:
-        verify_no_nonintegral_pairs(40, 3, 6)
+        assert_table_lemma("torus")
     assert str(raised.value) == str(expected.value) == "gcd(91, 7) != 1"
 
 

@@ -39,7 +39,8 @@ class Mutant(NamedTuple):
 KNOTS, SEARCH = "src/lenspairs/knots.py", "src/lenspairs/search.py"
 BQF, CLI = "src/lenspairs/bqf.py", "src/lenspairs/cli.py"
 RUN_MEMBERS = "tests/test_family_table.py::test_run_members_are_regular_rows_that_share_no_key"
-BAD_KNOT = "tests/test_search.py::test_verify_raises_what_a_knot_descriptor_raises"
+VALID_KNOTS = "tests/test_family_table.py::test_verified_constructions_are_valid_knots"
+TABLE_LEMMA = "tests/test_family_table.py::test_table_lemma"
 DISTINCT = "tests/test_family_table.py::test_distinct_matches_rules_on_every_ordered_pair"
 CLI_OUTPUTS = "tests/test_cli.py::test_single_index_not_lens_and_no_solution_outputs"
 WINDOW_WALK = "tests/test_bqf.py::test_representatives_match_window_walk"
@@ -66,12 +67,18 @@ MUTANTS = (
     Mutant("shared classes list their members unsorted", KNOTS,
            "sorted(_knot_of(ident, width) for ident in idents)", "[_knot_of(ident, width) for ident in idents]",
            ("tests/test_search.py::test_ci_bound_three_member_records",)),
-    Mutant("pair check skips the first knot", KNOTS,
-           "    _check_knot(family1, params1)\n    _check_knot(family2, params2)\n",
-           "    _check_knot(family2, params2)\n", (BAD_KNOT,)),
-    Mutant("pair check skips the second knot", KNOTS,
-           "    _check_knot(family1, params1)\n    _check_knot(family2, params2)\n",
-           "    _check_knot(family1, params1)\n", (BAD_KNOT,)),
+    Mutant("torus_cable's torus knot shares the factor 2n+1", SEARCH,
+           "4 * n + 4", "4 * n + 2", (VALID_KNOTS + "[torus_cable]",)),
+    Mutant("tangleTH's lens parameter shares the factor 3(n+1) with its order", KNOTS,
+           "18 * n + 19", "18 * n + 18", (TABLE_LEMMA + "[tangleTH]",)),
+    Mutant("pair check leaves its lens parameters unreduced", KNOTS,
+           "r1, r2 = q1 % m, q2 % m", "r1, r2 = q1, q2",
+           ("tests/test_family_table.py::test_shared_lens_slopes_match_lens_surgery",)),
+    Mutant("verify takes a bool as an index", SEARCH,
+           "if type(n) is not int:", "if not isinstance(n, int):",
+           ("tests/test_search.py::test_verify_takes_only_int_indices",)),
+    Mutant("make_lens names the reduced parameter in its error", "src/lenspairs/lens.py",
+           "raise _not_coprime(p, q) from None", "raise", ("tests/test_lens.py::test_make_lens_errors",)),
     Mutant("pair check calls every shared slope homeomorphic", KNOTS,
            "shared.append((den, m, r1, r2, _same_class(m, r1, r2)))", "shared.append((den, m, r1, r2, True))",
            ("tests/test_search.py::test_no_nonintegral_pairs",)),
