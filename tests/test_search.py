@@ -577,6 +577,7 @@ def test_verify_checks_no_knot_and_no_lens_parameter(monkeypatch):
 
     monkeypatch.setattr(knots, "_check_knot", counted("knot", knots._check_knot))
     monkeypatch.setattr(lens, "_reduced_q", counted("lens", lens._reduced_q))
+    # and a copy of its name that knots may import
     monkeypatch.setattr(knots, "_reduced_q", counted("lens", lens._reduced_q), raising=False)
     assert (torus(2, 3), make_lens(5, 7)) and calls == {"knot": 1, "lens": 1}  # the counters see a check
     calls.update(knot=0, lens=0)
