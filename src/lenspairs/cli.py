@@ -20,7 +20,7 @@ from . import bqf, search
 from .dualknot import basic_stats, kplus_dual
 from .knots import FAMILIES, KnotDescriptor, Lens, ReducibleTwoLens, SurgerySlope, kplus, lens_surgery
 from .lens import LensSpace, homeomorphic, make_lens, oriented_homeomorphic
-from .sequences import IDENTITIES, check_identity
+from .sequences import IDENTITIES, _failures
 
 
 # argparse reports an ArgumentTypeError from a type= parser with its message,
@@ -151,7 +151,7 @@ def _cmd_identities(args) -> int:
         raise ValueError("--range must be >= 1")
     failed = 0
     for name, start in IDENTITIES.items():
-        bad = [n for n in range(start, args.range + 1) if not check_identity(name, n)]
+        bad = _failures(name, range(start, args.range + 1))
         failed += len(bad)
         _emit(
             args,
@@ -166,11 +166,14 @@ def _verify_lines(family: str, checks):
     """Each check as the line, newline included, that ``json.dumps`` writes
     for {"family", "n", "passed", "witness"}: inside a dict, json writes a
     str as ``json.dumps`` of that str, an int by ``repr`` and a bool as true
-    or false.  Every check is of ``family``, so its name is encoded once."""
+    or false.  Every check is of ``family``, so its name is encoded once.
+    ``json.dumps`` of a str under its default arguments is
+    ``encode_basestring_ascii`` of it, which the witness takes directly."""
     name = json.dumps(family)
+    encode = json.encoder.encode_basestring_ascii
     for check in checks:
         passed = "true" if check.passed else "false"
-        yield f'{{"family": {name}, "n": {check.n!r}, "passed": {passed}, "witness": {json.dumps(check.witness)}}}\n'
+        yield f'{{"family": {name}, "n": {check.n!r}, "passed": {passed}, "witness": {encode(check.witness)}}}\n'
 
 
 def _cmd_verify(args) -> int:

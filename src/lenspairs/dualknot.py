@@ -11,7 +11,9 @@ The walk is never materialised.  One count is a difference of two floor
 sums, computed by a Euclid-like reduction in O(log p) steps on plain ints,
 and the other three follow from it exactly.  So phi stays cheap on the
 Fibonacci-parameter family, whose orders grow like the golden ratio to the
-power 2n and reach hundreds of digits.
+power 2n and reach hundreds of digits.  The family table of ``knots`` asks
+phi of kplus knots that it already holds valid, through
+``_kplus_hyperbolic``, which checks nothing and builds no triple.
 """
 
 from __future__ import annotations
@@ -114,7 +116,11 @@ def basic_stats(triple: DualKnotTriple) -> BasicSequenceStats:
     which takes the value k at i = h, so the other three counts follow:
     ell = h-1-s, s' = k-1-s and ell' = p-1-h-s'.
     """
-    p, q, k = triple.p, triple.q, triple.k
+    return _stats(triple.p, triple.q, triple.k)
+
+
+def _stats(p: int, q: int, k: int) -> BasicSequenceStats:
+    # ``basic_stats`` of the triple (p, q, k) as plain ints, which the caller vouches for
     h = k * pow(q, -1, p) % p
     s = _floor_sum(h - 1, p, q, q) - _floor_sum(h - 1, p, q, q - k)
     s_prime = k - 1 - s
@@ -124,5 +130,11 @@ def basic_stats(triple: DualKnotTriple) -> BasicSequenceStats:
 
 def kplus_is_hyperbolic(a: int, b: int) -> bool:
     """True iff kplus(a, b) is hyperbolic, decided by phi >= 2."""
-    return basic_stats(kplus_dual(a, b)).phi >= 2
+    kplus_dual(a, b)  # for its checks of (a, b) and of the triple
+    return _kplus_hyperbolic(a, b)
+
+
+def _kplus_hyperbolic(a: int, b: int) -> bool:
+    # ``kplus_is_hyperbolic`` for parameters that ``_kplus_valid`` accepts, with no check and no triple
+    return _stats(*_kplus_pqk(a, b)).phi >= 2
 

@@ -51,7 +51,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from math import gcd, isqrt
 
-from .dualknot import _KPLUS_RULE, _kplus_pqk, _kplus_valid, kplus_is_hyperbolic
+from .dualknot import _KPLUS_RULE, _kplus_hyperbolic, _kplus_pqk, _kplus_valid
 from .lens import LensSpace, _class_min, _same_class, make_lens
 
 __all__ = [
@@ -342,7 +342,7 @@ class _Family:
     """What the package knows about one knot family, as functions of its parameters."""
 
     arity: int
-    text: str  # format template of str(knot)
+    text: str  # str(knot) is text % params
     valid: Callable  # (*params) -> True when they name a knot of the family
     rule: str  # what ``valid`` asks of the parameters
     # (den, *params) -> lens slopes ((m, q), ...): m/den-surgery gives L(m, q), q not reduced
@@ -365,7 +365,7 @@ class _Family:
 # "lemma:" comment; ``_shared_lens_slopes`` relies on it, and tier-1 tests it.
 _TABLE = {
     "torus": _Family(
-        arity=2, text="torus({},{})", rows=_torus_rows, cap="torus_max",
+        arity=2, text="torus(%s,%s)", rows=_torus_rows, cap="torus_max",
         valid=lambda p, q: p >= 2 and q >= 2 and gcd(p, q) == 1, rule="parameters must be coprime and >= 2",
         slopes=_torus_slopes,
         # lemma: m = n*p*q -+ 1 = -+1 (mod n*q), so gcd(m, n*q^2) = 1, and m >= 2*3 - 1
@@ -373,7 +373,7 @@ _TABLE = {
         genus=lambda p, q: (p - 1) * (q - 1) // 2, symmetric=True, types=frozenset({"torus"}),
     ),
     "cable": _Family(
-        arity=3, text="cable({},{},{:+d})", rows=_cable_rows, cap="cable_max",
+        arity=3, text="cable(%s,%s,%+d)", rows=_cable_rows, cap="cable_max",
         valid=lambda a, b, eps: a >= 2 and b >= 2 and gcd(a, b) == 1 and eps in (1, -1),
         rule="companion parameters must be coprime and >= 2 and the sign +1 or -1",
         slopes=_integral(lambda a, b, eps: (4 * a * b + eps, 4 * b * b)),
@@ -382,15 +382,15 @@ _TABLE = {
         symmetric=True, types=frozenset({"satellite"}),
     ),
     "kplus": _Family(
-        arity=2, text="kplus({},{})", rows=_kplus_rows, cap="kplus_max",
+        arity=2, text="kplus(%s,%s)", rows=_kplus_rows, cap="kplus_max",
         valid=_kplus_valid, rule=_KPLUS_RULE,
         slopes=_integral(lambda a, b: _kplus_pqk(a, b)[:2]),
         # lemma: gcd(b, m) = gcd(b, a^2) = 1 and a + b is a unit, as m = (a+b)^2 - ab, so w^2 is a unit
         genus=lambda a, b: ((a + b - 1) ** 2 - a * b) // 2, symmetric=True,
-        hyperbolic=kplus_is_hyperbolic,  # phi >= 2
+        hyperbolic=_kplus_hyperbolic,  # phi >= 2, for the valid knots that the table is given
     ),
     "tangleHH": _Family(
-        arity=1, text="tangleHH({})", rows=_index_rows, cap="tangle_max",
+        arity=1, text="tangleHH(%s)", rows=_index_rows, cap="tangle_max",
         valid=lambda n: n >= 1, rule="index must be >= 1",
         slopes=_integral(lambda n: (27 * n * n + 45 * n + 21, -(9 * n * n + 12 * n + 5))),
         # lemma: m = 3q' + 3(3n+2), with q' = (3n+2)^2 + 1 prime to 3(3n+2)
@@ -401,7 +401,7 @@ _TABLE = {
     # n, so no knot in S^3 gives it by +m surgery; its mirror L(m, 18n+19) gives the a2 of the
     # torus_tangle partner.  Unoriented answers, the search and verify, do not depend on it.
     "tangleTH": _Family(
-        arity=1, text="tangleTH({})", rows=_index_rows, cap="tangle_max",
+        arity=1, text="tangleTH(%s)", rows=_index_rows, cap="tangle_max",
         valid=lambda n: n >= 1, rule="index must be >= 1",
         slopes=_integral(lambda n: (18 * n * n + 33 * n + 15, -(18 * n + 19))),
         # lemma: m = 3(n+1)(6n+5), while 18n+19 = 18(n+1) + 1 and 18n+19 - 3(6n+5) = 4, 18n+19 odd
@@ -512,7 +512,7 @@ def _check_knot(family: str, params: tuple) -> None:
 
 
 def _knot_text(family: str, params: tuple) -> str:
-    return _TABLE[family].text.format(*params)
+    return _TABLE[family].text % tuple(params)
 
 
 def _shared_lens_slopes(family1: str, params1: tuple, family2: str, params2: tuple, dens) -> list:

@@ -68,8 +68,8 @@ def _class_min(p: int, q: int, q_inv: int) -> int:
     return min(q, p - q, q_inv, p - q_inv)
 
 
-def _lens_text(p: int | str, q: int) -> str:
-    # p may come as its decimal text, written once by a caller that reuses it
+def _lens_text(p: int | str, q: int | str) -> str:
+    # given "%s" for p and q, it writes the format of L(p,q) that verify fills in
     return f"L({p},{q})"
 
 

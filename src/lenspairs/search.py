@@ -56,7 +56,7 @@ from .knots import (
     lens_surgery,
 )
 from .lens import LensSpace, _lens_text
-from .sequences import InvalidIndex, _walk
+from .sequences import InvalidIndex, _check_index, _walk
 
 __all__ = [
     "CoincidenceRecord",
@@ -327,26 +327,32 @@ def _checks(family: str, n_range):
     else:
         ns = list(n_range)
         for n in ns:
-            if type(n) is not int:  # a bool is no index either
-                raise InvalidIndex(f"index must be an int, got {n!r}")
+            _check_index(n)
         ns = sorted(set(ns))
     if not ns:
         raise InvalidIndex("empty index range")
     if ns[0] < low:
         raise InvalidIndex(f"{family} needs n >= {low}, got {ns[0]}")
+    # one witness format per pair of knot families, from their knot texts and the layout
+    # "@ m/n -> L(m,q1) ~ L(m,q2)", so that each line takes one str(m) and one % format
+    lens = _lens_text("%s", "%s")
+    templates = {}
     for n, ((family1, params1), (family2, params2)) in zip(ns, _instances(family, ns)):
         shared = _shared_lens_slopes(family1, params1, family2, params2, (den,))
-        knots = f"{_knot_text(family1, params1)} & {_knot_text(family2, params2)}"
         if len(shared) != 1:
+            knots = f"{_knot_text(family1, params1)} & {_knot_text(family2, params2)}"
             yield FamilyCheck(family, n, False, f"{knots} share {len(shared)} lens slopes m/{den}, not one")
             continue
         ((_, m, q1, q2, same),) = shared
         ok = same and _distinct(family1, params1, family2, params2) == "distinct"
-        slope_m, slope_n = _reduced_slope(m, den)
+        template = templates.get((family1, family2))
+        if template is None:
+            texts = f"{_TABLE[family1].text} & {_TABLE[family2].text}"
+            template = templates[family1, family2] = f"{texts} @ %s/%s -> {lens} ~ {lens}"
+        slope_m, slope_n = _reduced_slope(m, den) if den > 1 else (m, 1)  # m/1 is reduced
         # m is written once, for the slope when it is the slope's numerator and for both lens spaces
         text = str(m)
-        slope = text if slope_m == m else slope_m
-        witness = f"{knots} @ {slope}/{slope_n} -> {_lens_text(text, q1)} ~ {_lens_text(text, q2)}"
+        witness = template % (*params1, *params2, text if slope_m == m else slope_m, slope_n, text, q1, text, q2)
         yield FamilyCheck(family, n, ok, witness)
 
 

@@ -15,7 +15,10 @@ verified constructions of ``search``.
 ``check_identity`` evaluates both sides of the closed-form identities these
 sequences satisfy and reports equality, exactly and with no tolerance; the
 checks return booleans instead of asserting so that callers can aggregate
-failures into reports.
+failures into reports.  ``_failures`` checks one identity over a range of
+indices from the pairs that ``_walk`` steps, so each consecutive index costs
+O(1) big-int products; ``check_identity`` is the same check at one index.
+An index is an int, and a bool is none.
 """
 
 from __future__ import annotations
@@ -33,10 +36,18 @@ __all__ = [
 
 # each identity with the first index at which it holds
 IDENTITIES = {"cassini": 1, "fib_cross": 1, "pell_cross": 1, "pell_product": 1, "fib_quartic": 0}
+# the sequence whose walked pair ``_holds`` reads for each identity
+_SEQUENCE = {"cassini": "fibonacci", "fib_cross": "fibonacci", "pell_cross": "pell", "pell_product": "pell",
+             "fib_quartic": "fibonacci"}
 
 
 class InvalidIndex(ValueError):
     """Index outside the valid range of a sequence or identity."""
+
+
+def _check_index(n) -> None:
+    if type(n) is not int:  # a bool is no index either
+        raise InvalidIndex(f"index must be an int, got {n!r}")
 
 
 def fib(n: int) -> int:
@@ -45,6 +56,7 @@ def fib(n: int) -> int:
     Fast doubling over the bits of n, O(log n) steps: with (a, b) =
     (F(k), F(k+1)), F(2k) = a (2b - a) and F(2k+1) = a^2 + b^2.
     """
+    _check_index(n)
     if n < 0:
         raise InvalidIndex("Fibonacci index must be >= 0")
     return _fib_pair(n)[0]
@@ -72,6 +84,7 @@ class SequencePair:
 
 def pair(family: str, n: int) -> SequencePair:
     """The pair (a_n, b_n) of the requested family, n >= 1."""
+    _check_index(n)
     if n < 1:
         raise InvalidIndex("pair index must be >= 1")
     if family == "fibonacci":
@@ -111,6 +124,41 @@ def _walk(family: str, ns):
         yield a, b
 
 
+def _holds(name: str, n: int, walked: tuple[int, int]) -> bool:
+    """Both sides of the named identity at n, from the pair that ``_walk`` gives
+    at n: (F(n), F(n+1)) for the Fibonacci identities and (a_n, b_n) for the
+    pell ones.  Every other term comes by the recurrences' additions."""
+    sign = -1 if n % 2 else 1  # (-1)^n
+    if name == "cassini":
+        f, f1 = walked
+        return (f1 - f) * f1 - f * f == sign
+    if name == "fib_cross":
+        # a(n) = F(n+2), b(n) = F(n+1) + F(n+3), a(n+1) = F(n+3), b(n+1) = F(n+2) + F(n+4)
+        f, f1 = walked
+        f2 = f + f1
+        f3 = f1 + f2
+        return f3 * (f1 + f3) - sign == f2 * (f2 + f2 + f3) + sign
+    if name == "pell_cross":
+        # pair("pell", n + 1) is (a + b, 2a + b)
+        a, b = walked
+        return 2 * a * (a + a + b) - sign == 2 * (a + b) * b + sign
+    if name == "pell_product":
+        a, b = walked
+        a1, b1 = a + b, a + a + b
+        return 4 * a1 * a1 * b1 * b1 + 1 == (2 * a1 * (a1 + a1 + b1) + sign) * (2 * a * b1 - sign)
+    # fib_quartic
+    f, f1 = walked
+    f2 = f + f1
+    return 4 * f ** 4 + sign * f2 * f2 == (4 * f * f2 + sign) * (f2 * f2 - 4 * f * f1)
+
+
+def _failures(name: str, ns) -> list[int]:
+    """The n of ns, in turn, at which the named identity fails: ``_holds`` on
+    the pair that ``_walk`` gives at each n, so consecutive n cost O(1) big-int
+    products each."""
+    return [n for n, walked in zip(ns, _walk(_SEQUENCE[name], ns)) if not _holds(name, n, walked)]
+
+
 def check_identity(name: str, n: int) -> bool:
     """Evaluate both sides of the named identity at index n; True iff equal.
 
@@ -122,26 +170,11 @@ def check_identity(name: str, n: int) -> bool:
     fib_quartic   4 F(n)^4 + (-1)^n F(n+2)^2 =
                   (4 F(n) F(n+2) + (-1)^n) (F(n+2)^2 - 4 F(n) F(n+1))
 
-    n must be at least the identity's first index in ``IDENTITIES``.
+    n must be an int at least the identity's first index in ``IDENTITIES``.
     """
     if name not in IDENTITIES:
         raise InvalidIndex(f"unknown identity {name!r}")
+    _check_index(n)
     if n < IDENTITIES[name]:
         raise InvalidIndex(f"{name} needs n >= {IDENTITIES[name]}")
-    if name == "cassini":
-        return fib(n - 1) * fib(n + 1) - fib(n) ** 2 == (-1) ** n
-    if name == "fib_cross":
-        cur, nxt = pair("fibonacci", n), pair("fibonacci", n + 1)
-        return nxt.a * cur.b + (-1) ** (n + 1) == cur.a * nxt.b + (-1) ** n
-    if name == "pell_cross":
-        cur, nxt = pair("pell", n), pair("pell", n + 1)
-        return 2 * cur.a * nxt.b + (-1) ** (n + 1) == 2 * nxt.a * cur.b + (-1) ** n
-    if name == "pell_product":
-        cur, nxt, far = pair("pell", n), pair("pell", n + 1), pair("pell", n + 2)
-        lhs = 4 * nxt.a ** 2 * nxt.b ** 2 + 1
-        rhs = (2 * nxt.a * far.b + (-1) ** (n + 2)) * (2 * cur.a * nxt.b + (-1) ** (n + 1))
-        return lhs == rhs
-    # fib_quartic
-    fn, fn1, fn2 = fib(n), fib(n + 1), fib(n + 2)
-    sign = (-1) ** n
-    return 4 * fn ** 4 + sign * fn2 ** 2 == (4 * fn * fn2 + sign) * (fn2 ** 2 - 4 * fn * fn1)
+    return not _failures(name, (n,))

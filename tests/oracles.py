@@ -7,7 +7,10 @@ states the knots and the shared slope of each verified construction by the
 paper's formulas.  ``surgery_a2`` reads the knot invariant a2 off the
 oriented lens space of a surgery, by Dedekind sums.  ``product_rows`` makes
 the torus and cable search rows one knot at a time, as the search did
-before it probed runs of them."""
+before it probed runs of them.  ``identity_holds`` evaluates a sequence
+identity from ``fib`` and ``pair`` at each index on its own, and
+``verify_witness`` writes a verify witness text by text, as the library did
+before it walked the one and templated the other."""
 
 from __future__ import annotations
 
@@ -31,8 +34,8 @@ from lenspairs.knots import (
     tangle_th,
     torus,
 )
-from lenspairs.knots import _key, _ident_width
-from lenspairs.lens import LensSpace, make_lens
+from lenspairs.knots import _ident_width, _key, _knot_text, _reduced_slope
+from lenspairs.lens import LensSpace, _lens_text, make_lens
 from lenspairs.sequences import InvalidIndex, fib, pair
 
 
@@ -352,3 +355,35 @@ def product_rows(config, lo: int, hi: int):
                         params = (a, b) if family == "torus" else (a, b, eps)
                         ident = index + sum((p + 1) * width ** place for place, p in enumerate(params, 1))
                         yield _key(m, den, min(x, m - x, z, m - z), width), ident
+
+
+def identity_holds(name: str, n: int) -> bool:
+    """Both sides of the named sequence identity at n, each term from ``fib``
+    or ``pair`` at its own index, in O(log n) products per term."""
+    if name == "cassini":
+        return fib(n - 1) * fib(n + 1) - fib(n) ** 2 == (-1) ** n
+    if name == "fib_cross":
+        cur, nxt = pair("fibonacci", n), pair("fibonacci", n + 1)
+        return nxt.a * cur.b + (-1) ** (n + 1) == cur.a * nxt.b + (-1) ** n
+    if name == "pell_cross":
+        cur, nxt = pair("pell", n), pair("pell", n + 1)
+        return 2 * cur.a * nxt.b + (-1) ** (n + 1) == 2 * nxt.a * cur.b + (-1) ** n
+    if name == "pell_product":
+        cur, nxt, far = pair("pell", n), pair("pell", n + 1), pair("pell", n + 2)
+        lhs = 4 * nxt.a ** 2 * nxt.b ** 2 + 1
+        rhs = (2 * nxt.a * far.b + (-1) ** (n + 2)) * (2 * cur.a * nxt.b + (-1) ** (n + 1))
+        return lhs == rhs
+    if name == "fib_quartic":
+        fn, fn1, fn2 = fib(n), fib(n + 1), fib(n + 2)
+        sign = (-1) ** n
+        return 4 * fn ** 4 + sign * fn2 ** 2 == (4 * fn * fn2 + sign) * (fn2 ** 2 - 4 * fn * fn1)
+    raise InvalidIndex(f"unknown identity {name!r}")
+
+
+def verify_witness(first: tuple, second: tuple, den: int, m: int, q1: int, q2: int) -> str:
+    """The witness of a verify check whose knots (family, params) share the one
+    lens slope m/den, giving L(m, q1) and L(m, q2): each knot, the slope and
+    each space written on its own."""
+    slope_m, slope_n = _reduced_slope(m, den)
+    return (f"{_knot_text(*first)} & {_knot_text(*second)} @ {slope_m}/{slope_n} -> "
+            f"{_lens_text(m, q1)} ~ {_lens_text(m, q2)}")

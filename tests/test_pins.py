@@ -65,6 +65,10 @@ PINS = (
     Pin((("bqf", "solve", "1", "0", "-1000000007", "1000000007", "--count", "1"),), 10, None),
     # the shared continued-fraction walk at scale: identities to n = 2000 and an 88k-bit unit
     Pin((("identities", "--range", "2000"),), 60, None),
+    # the walked identities to n = 3000, plain and --jsonl
+    Pin((("identities", "--range", "3000"),), 60, "19fd584b0e4f950ee08d31a6e1bba279c246f664881d4bdfd42933349e7903ca"),
+    Pin((("--jsonl", "identities", "--range", "3000"),), 60,
+        "85de69156e852b5d833ac722bc69fa97fabdeb296fdf8f3c6f7a3fd7a2975a33"),
     Pin((("bqf", "unit", "999999937"),), 10, None),
     # search prints the same records on 1 and 2 workers, and with families and denominators in
     # another order

@@ -30,7 +30,8 @@ from lenspairs.knots import (
     torus,
 )
 from lenspairs.lens import InvalidOrder, NotCoprime, canonical_form, make_lens
-from lenspairs import knots, lens, search
+from lenspairs import dualknot, knots, lens, search
+from lenspairs.dualknot import kplus_is_hyperbolic
 from lenspairs.search import (
     SearchConfig,
     enumerate_surgeries,
@@ -565,8 +566,8 @@ def test_verify_builds_no_knot_descriptor(monkeypatch):
 
 def test_verify_checks_no_knot_and_no_lens_parameter(monkeypatch):
     # the table lemma and each construction's proof stand in for these checks, so
-    # neither the verify families nor the nonintegral scan make one; the phi
-    # certificate's own DualKnotTriple check reads dualknot's name, not counted
+    # neither the verify families nor the nonintegral scan make one; nor does the
+    # phi certificate (test_verify_phi_certificate_builds_no_dual_triple)
     calls = {"knot": 0, "lens": 0}
 
     def counted(name, check):
@@ -637,6 +638,49 @@ def test_verify_witness_writes_the_slope_and_spaces_as_their_objects_do(monkeypa
     assert check.witness == f"{knots_text} @ {SurgerySlope(10, 2)} -> {make_lens(10, 13)} ~ {make_lens(10, 7)}"
     assert check.witness == f"{knots_text} @ 5/1 -> L(10,3) ~ L(10,7)"
     assert not check.passed  # the two tangle knots are not certified distinct
+
+
+def test_verify_witnesses_match_the_oracle_text_by_text(monkeypatch):
+    # the phi certificate, which takes a minute over cable_kplus to n = 2000, writes no text
+    monkeypatch.setattr(search, "_distinct", lambda *knots: "distinct")
+    for family, (low, den, *_) in search._VERIFY.items():
+        ns = range(low, 2001)
+        for n, (first, second), check in zip(ns, search._instances(family, ns), search._checks(family, ns), strict=True):
+            ((_, m, q1, q2, _),) = knots._shared_lens_slopes(*first, *second, (den,))
+            assert check.witness == oracles.verify_witness(first, second, den, m, q1, q2), (family, n)
+    # a planted instance of two torus knots writes its own knots among those of its construction
+    low, den, walk, knots_of = search._VERIFY["tangle_kplus"]
+    planted = (("torus", (3, 4)), ("torus", (2, 7)))
+    monkeypatch.setitem(search._VERIFY, "tangle_kplus", (low, den, walk, lambda n: planted if n == 2 else knots_of(n)))
+    first, torus_torus, third = (check.witness for check in search._checks("tangle_kplus", range(1, 4)))
+    assert torus_torus == oracles.verify_witness(*planted, 1, 13, 3, 10) == "torus(3,4) & torus(2,7) @ 13/1 -> L(13,3) ~ L(13,10)"
+    assert first == "tangleHH(1) & kplus(4,7) @ 93/1 -> L(93,67) ~ L(93,25)"
+    assert third.startswith("tangleHH(3) & kplus(10,13) @ ")
+
+
+def test_verify_phi_certificate_builds_no_dual_triple(monkeypatch):
+    # the kplus knots of cable_kplus are valid by their construction, so the table's phi
+    # path neither re-checks them nor builds a DualKnotTriple, and the lines stay the same
+    ns = range(3, 200)
+    lines = [check.line() for check in search._checks("cable_kplus", ns)]
+    calls = {"triple": 0, "valid": 0}
+    post_init, valid = dualknot.DualKnotTriple.__post_init__, dualknot._kplus_valid
+
+    def triple(self):
+        calls["triple"] += 1
+        post_init(self)
+
+    def counted_valid(*params):
+        calls["valid"] += 1
+        return valid(*params)
+
+    monkeypatch.setattr(dualknot.DualKnotTriple, "__post_init__", triple)
+    monkeypatch.setattr(dualknot, "_kplus_valid", counted_valid)
+    monkeypatch.setitem(knots._TABLE, "kplus", dataclasses.replace(knots._TABLE["kplus"], valid=counted_valid))
+    assert kplus_is_hyperbolic(2, 3) and calls == {"triple": 1, "valid": 1}  # the counters see a check
+    calls.update(triple=0, valid=0)
+    assert [check.line() for check in search._checks("cable_kplus", ns)] == lines
+    assert calls == {"triple": 0, "valid": 0}
 
 
 def test_verify_family_lines_format():

@@ -1,9 +1,12 @@
+import re
 from math import gcd
 
+import hypothesis
+import hypothesis.strategies as st
 import pytest
 
-from lenspairs.sequences import IDENTITIES, InvalidIndex, _fib_pair, _walk, check_identity, fib, pair
-from oracles import fib_loop, pell_loop
+from lenspairs.sequences import IDENTITIES, InvalidIndex, _failures, _fib_pair, _walk, check_identity, fib, pair
+from oracles import fib_loop, identity_holds, pell_loop
 
 
 def test_fib_values():
@@ -137,3 +140,26 @@ def test_fibonacci_cross_is_sum_of_squares():
     for n in range(1, 51):
         cur, nxt = pair("fibonacci", n), pair("fibonacci", n + 1)
         assert nxt.a * cur.b + (-1) ** (n + 1) == fib(n + 2) ** 2 + fib(n + 3) ** 2
+
+
+@pytest.mark.parametrize("index", [True, 1.5, "3"])
+@pytest.mark.parametrize("call", [fib, lambda n: pair("pell", n), lambda n: check_identity("cassini", n)],
+                         ids=["fib", "pair", "check_identity"])
+def test_sequences_take_only_int_indices(call, index):
+    with pytest.raises(InvalidIndex, match=f"^index must be an int, got {re.escape(repr(index))}$"):
+        call(index)
+
+
+@pytest.mark.parametrize("name", list(IDENTITIES))
+def test_walked_identities_match_the_oracle(name):
+    # each range from the identity's first index, and ranges and lists that start or jump
+    # mid-sequence, where the walk restarts
+    first = IDENTITIES[name]
+    for ns in (range(first, 401), range(137, 161), range(first + 1, first + 3), [5, 6, 40, 41, 41, 3, 1000]):
+        assert _failures(name, ns) == [n for n in ns if not identity_holds(name, n)], (name, ns)
+
+
+@hypothesis.given(name=st.sampled_from(list(IDENTITIES)), n=st.integers(0, 10**4))
+def test_check_identity_matches_the_oracle(name, n):
+    hypothesis.assume(n >= IDENTITIES[name])
+    assert check_identity(name, n) == identity_holds(name, n)

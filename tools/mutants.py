@@ -38,6 +38,7 @@ class Mutant(NamedTuple):
 
 KNOTS, SEARCH = "src/lenspairs/knots.py", "src/lenspairs/search.py"
 BQF, CLI = "src/lenspairs/bqf.py", "src/lenspairs/cli.py"
+SEQUENCES, DUALKNOT = "src/lenspairs/sequences.py", "src/lenspairs/dualknot.py"
 RUN_MEMBERS = "tests/test_family_table.py::test_run_members_are_regular_rows_that_share_no_key"
 VALID_KNOTS = "tests/test_family_table.py::test_verified_constructions_are_valid_knots"
 TABLE_LEMMA = "tests/test_family_table.py::test_table_lemma"
@@ -47,6 +48,8 @@ WINDOW_WALK = "tests/test_bqf.py::test_representatives_match_window_walk"
 SHARD_LAYOUT = "tests/test_search.py::test_shards_tile_the_orders_within_the_cap"
 VERIFY_STREAM = "tests/test_cli.py::test_verify_streams_the_lines_of_its_report"
 VERIFY_ORDER = "tests/test_search.py::test_verify_family_checks_each_n_once_in_increasing_order"
+PLANTED_SLOPE = "tests/test_search.py::test_verify_witness_writes_the_slope_and_spaces_as_their_objects_do"
+WITNESS_ORACLE = "tests/test_search.py::test_verify_witnesses_match_the_oracle_text_by_text"
 
 MUTANTS = (
     Mutant("run member without its gcd", KNOTS,
@@ -74,9 +77,10 @@ MUTANTS = (
     Mutant("pair check leaves its lens parameters unreduced", KNOTS,
            "r1, r2 = q1 % m, q2 % m", "r1, r2 = q1, q2",
            ("tests/test_family_table.py::test_shared_lens_slopes_match_lens_surgery",)),
-    Mutant("verify takes a bool as an index", SEARCH,
+    Mutant("verify and the sequences take a bool as an index", SEQUENCES,
            "if type(n) is not int:", "if not isinstance(n, int):",
-           ("tests/test_search.py::test_verify_takes_only_int_indices",)),
+           ("tests/test_search.py::test_verify_takes_only_int_indices",
+            "tests/test_sequences.py::test_sequences_take_only_int_indices")),
     Mutant("make_lens names the reduced parameter in its error", "src/lenspairs/lens.py",
            "raise _not_coprime(p, q) from None", "raise", ("tests/test_lens.py::test_make_lens_errors",)),
     Mutant("pair check calls every shared slope homeomorphic", KNOTS,
@@ -101,18 +105,28 @@ MUTANTS = (
     Mutant("same class without the reversal case", "src/lenspairs/lens.py",
            "q1 == q2 or q1 + q2 == p or q1 * q2", "q1 == q2 or q1 * q2",
            ("tests/test_lens.py::test_same_class_matches_canonical_form_equality",)),
-    Mutant("basic_stats ell' one too large", "src/lenspairs/dualknot.py",
+    Mutant("basic_stats ell' one too large", DUALKNOT,
            "p - 1 - h - s_prime", "p - h - s_prime", ("tests/test_dualknot.py::test_streaming_equals_bruteforce",)),
-    Mutant("basic_stats ell' one too small", "src/lenspairs/dualknot.py",
+    Mutant("basic_stats ell' one too small", DUALKNOT,
            "p - 1 - h - s_prime", "p - 2 - h - s_prime", ("tests/test_dualknot.py::test_streaming_equals_bruteforce",)),
-    Mutant("floor sum without its n * (b // m) term", "src/lenspairs/dualknot.py",
+    Mutant("floor sum without its n * (b // m) term", DUALKNOT,
            "total += n * (n - 1) // 2 * qa + n * qb", "total += n * (n - 1) // 2 * qa",
            ("tests/test_dualknot.py::test_floor_sum_matches_direct_sum",)),
     Mutant("lens parameter without its gcd check", "src/lenspairs/lens.py",
            "if gcd(p, reduced) != 1:", "if False:", ("tests/test_lens.py::test_make_lens_errors",)),
     Mutant("verify witness writes its slope unreduced", SEARCH,
-           "slope_m, slope_n = _reduced_slope(m, den)", "slope_m, slope_n = m, den",
-           ("tests/test_search.py::test_verify_witness_writes_the_slope_and_spaces_as_their_objects_do",)),
+           "_reduced_slope(m, den) if den > 1 else (m, 1)", "(m, den)", (PLANTED_SLOPE,)),
+    Mutant("verify witness reduces its slope only at denominator 1", SEARCH,
+           "if den > 1 else (m, 1)", "if den <= 1 else (m, 1)", (PLANTED_SLOPE,)),
+    Mutant("verify witness template swaps the two lens parameters", SEARCH,
+           "text, q1, text, q2)", "text, q2, text, q1)",
+           (WITNESS_ORACLE, "tests/test_cli.py::test_verify_output_bytes")),
+    Mutant("verify lines leave non-ASCII witness text unescaped", CLI,
+           "encode = json.encoder.encode_basestring_ascii", "encode = json.encoder.encode_basestring",
+           ("tests/test_cli.py::test_verify_lines_are_json_dumps_of_each_check",)),
+    Mutant("the table's phi path re-checks its knot and builds a dual triple", DUALKNOT,
+           "return _stats(*_kplus_pqk(a, b)).phi >= 2", "return basic_stats(kplus_dual(a, b)).phi >= 2",
+           ("tests/test_search.py::test_verify_phi_certificate_builds_no_dual_triple",)),
     Mutant("verify summary counts only the last check as passed", CLI,
            "counts[0] += check.passed", "counts[0] = check.passed", (VERIFY_STREAM,)),
     Mutant("verify counts only the last check made", CLI,
@@ -127,7 +141,7 @@ MUTANTS = (
     Mutant("verify lists a range before its first check", SEARCH,
            "ns = n_range if n_range.step > 0 else n_range[::-1]", "ns = sorted(set(n_range))",
            ("tests/test_search.py::test_verify_checks_a_huge_range_without_listing_it",)),
-    Mutant("sequence walk never restarts", "src/lenspairs/sequences.py",
+    Mutant("sequence walk never restarts", SEQUENCES,
            "if n - 1 != last:", "if last is None:", ("tests/test_sequences.py::test_walk_matches_pair_and_fib_pair",)),
     Mutant("window bound never exact", BQF,
            "return floor, floor if floor * floor * delta == n else None", "return floor, None",
@@ -159,6 +173,9 @@ MUTANTS = (
     Mutant("search text counts raw members", CLI,
            "(certified {record.certified_multiplicity})", "(certified {len(record.members)})",
            ("tests/test_cli.py::test_search_text_output",)),
+    Mutant("walked pell_cross flips the sign of its left side", SEQUENCES,
+           "return 2 * a * (a + a + b) - sign ==", "return 2 * a * (a + a + b) + sign ==",
+           ("tests/test_sequences.py::test_walked_identities_match_the_oracle",)),
     Mutant("identities accepts a range of 0", CLI,
            "if args.range < 1:", "if args.range < 0:",
            ("tests/test_cli.py::test_identities_below_one_is_a_usage_error",)),
