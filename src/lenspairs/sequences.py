@@ -145,11 +145,13 @@ def _holds(name: str, n: int, walked: tuple[int, int]) -> bool:
     if name == "pell_product":
         a, b = walked
         a1, b1 = a + b, a + a + b
-        return 4 * a1 * a1 * b1 * b1 + 1 == (2 * a1 * (a1 + a1 + b1) + sign) * (2 * a * b1 - sign)
+        ab = 2 * a1 * b1  # 4 a(n+1)^2 b(n+1)^2 is its square
+        return ab * ab + 1 == (2 * a1 * (a1 + a1 + b1) + sign) * (2 * a * b1 - sign)
     # fib_quartic
     f, f1 = walked
     f2 = f + f1
-    return 4 * f ** 4 + sign * f2 * f2 == (4 * f * f2 + sign) * (f2 * f2 - 4 * f * f1)
+    ff, f2f2 = f * f, f2 * f2
+    return 4 * ff * ff + sign * f2f2 == (4 * f * f2 + sign) * (f2f2 - 4 * f * f1)
 
 
 def _failures(name: str, ns) -> list[int]:
