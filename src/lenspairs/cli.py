@@ -214,26 +214,23 @@ def _cmd_search(args) -> int:
         out = open(args.out, "w") if args.out else contextlib.nullcontext()
     except OSError as exc:
         raise ValueError(f"cannot write --out: {exc}") from None
-    with out as handle:
-        records = search.find_coincidences(config)
-        if handle is not None:
-            handle.writelines(record.to_json() + "\n" for record in records)
-    if args.jsonl:
+    # each record is written as its shard finishes, so the first line comes after one shard
+    # and `| head` stops the work; only the record count and the largest multiplicity are kept
+    count = top = 0
+    with out as handle, contextlib.closing(search._records(config)) as records:
         for record in records:
-            print(record.to_json())
-    else:
-        for record in records:
-            members = ", ".join(f"{knot}[{space}]" for knot, space in record.members)
-            print(
-                f"slope {record.slope} class L{record.lens_class}: {members} "
-                f"(certified {record.certified_multiplicity})"
-            )
-    top = max((record.certified_multiplicity for record in records), default=0)
-    print(
-        f"{len(records)} coincidence records, "
-        f"largest certified-distinct group: {top}",
-        file=sys.stderr,
-    )
+            line = record.to_json() + "\n" if args.jsonl or handle is not None else None
+            if handle is not None:
+                handle.write(line)
+            if args.jsonl:
+                sys.stdout.write(line)
+            else:
+                members = ", ".join(f"{knot}[{space}]" for knot, space in record.members)
+                print(f"slope {record.slope} class L{record.lens_class}: {members} "
+                      f"(certified {record.certified_multiplicity})")
+            count += 1
+            top = max(top, record.certified_multiplicity)
+    print(f"{count} coincidence records, largest certified-distinct group: {top}", file=sys.stderr)
     return 0
 
 

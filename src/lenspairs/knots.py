@@ -247,22 +247,33 @@ def _product_rows(offset, width, sign, top, lo, hi, products, runs):
                     ta = t * a
                     low = first if first > ta else ta + 1
                     high = last if last < ta + a else ta + a - 1
-                    b, c = high + 1, high  # at t = 1 no row is regular
-                    if t >= 2:
-                        b = low
-                        while b <= c and k * b * (b - ta) - eps * t <= x:
-                            b += 1
-                        while c >= b and k * (ta + a - c) * c + eps * (t + 1) <= x:
-                            c -= 1
-                    # the irregular rows of the block: below b and above c
-                    for s in itertools.chain(range(low, b), range(c + 1, high + 1)):
+                    if t == 1:  # no row is regular, and q_min is the least of all four
+                        for s in range(low, high + 1):
+                            r = s - a
+                            if gcd(a, r) == 1:
+                                m = ka * s + eps
+                                z = k * s * r - eps
+                                u = x if x + x < m else m - x
+                                v = z if z + z < m else m - z
+                                yield (u if u < v else v) * scale + m * base + den, ident + step * s
+                        continue
+                    # from t = 2 on, 2x < m; the rows below b have z <= x < m - x <= m - z, so
+                    # q_min = z, and the rows above c have m - z <= x < z, so q_min = m - z
+                    b, c = low, high
+                    while b <= c and k * b * (b - ta) - eps * t <= x:
+                        b += 1
+                    while c >= b and k * (ta + a - c) * c + eps * (t + 1) <= x:
+                        c -= 1
+                    for s in range(low, b):
                         r = s - ta
                         if gcd(a, r) == 1:
-                            m = ka * s + eps
-                            z = k * s * r - eps * t
-                            u = x if x + x < m else m - x
-                            v = z if z + z < m else m - z
-                            yield (u if u < v else v) * scale + m * base + den, ident + step * s
+                            q_min = k * s * r - eps * t  # z
+                            yield q_min * scale + (ka * s + eps) * base + den, ident + step * s
+                    for s in range(c + 1, high + 1):
+                        r = s - ta
+                        if gcd(a, r) == 1:
+                            q_min = k * s * (a - r) + eps * (t + 1)  # m - z
+                            yield q_min * scale + (ka * s + eps) * base + den, ident + step * s
                 lowest = max(first, 2 * a + 1)  # t >= 2, and b = 2a shares the factor a
                 if lowest <= last:
                     start = x * scale + (ka * lowest + eps) * base + den

@@ -11,11 +11,14 @@ those become knot and lens-space objects.  Shards run one at a time in this
 process, or over a pool of ``workers`` processes capped at
 ``os.cpu_count()``, started by the platform's default method, or by spawn
 while the caller runs other threads; any worker count gives the same
-records.  Because the artifact cannot always certify non-equivalence, every
-record carries both its raw member count and the size of its largest subset
-of pairwise certified-distinct members.  ``enumerate_surgeries`` yields the
-same candidates as (knot, slope, lens space) objects in a fixed
-deterministic order.
+records.  ``_records`` yields them shard by shard, each shard's sorted, so
+that the CLI writes each shard's lines as it finishes and holds one shard's
+records at most; ``find_coincidences`` lists what it yields.  Because the
+artifact cannot always certify non-equivalence, every record carries both
+its raw member count and the size of its largest subset of pairwise
+certified-distinct members.  ``enumerate_surgeries`` yields the same
+candidates as (knot, slope, lens space) objects in a fixed deterministic
+order.
 
 ``verify_family`` checks, instance by instance, the six constructions of
 knot pairs sharing a surgery slope and a lens space; each names its two
@@ -33,7 +36,6 @@ make no knot, lens-space or slope object per check.
 from __future__ import annotations
 
 import itertools
-import json
 import os
 import threading
 from dataclasses import dataclass, field
@@ -146,16 +148,20 @@ class CoincidenceRecord:
         return len(self.certified_members)
 
     def to_json(self) -> str:
-        obj = {
-            "slope": str(self.slope),
-            "lens": {"p": self.lens_class[0], "q_canonical": self.lens_class[1]},
-            "members": [
-                {"family": knot.family, "params": list(knot.params), "raw_q": space.q}
-                for knot, space in self.members
-            ],
-            "certified_multiplicity": self.certified_multiplicity,
-        }
-        return json.dumps(obj, sort_keys=True)
+        """The record as ``json.dumps(obj, sort_keys=True)`` writes the object
+        {"slope", "lens": {"p", "q_canonical"}, "members": [{"family",
+        "params", "raw_q"}, ...], "certified_multiplicity"}, filled into one
+        template: json writes an int by ``repr``, and a family name, plain
+        ASCII with nothing to escape, as it stands between quotes."""
+        members = ", ".join(_MEMBER_JSON % (knot.family, ", ".join(map(str, knot.params)), space.q)
+                            for knot, space in self.members)
+        slope = self.slope
+        return _RECORD_JSON % (self.certified_multiplicity, *self.lens_class, members, slope.m, slope.n)
+
+
+# the layout of ``CoincidenceRecord.to_json``: its keys sorted, ", " and ": " between items
+_MEMBER_JSON = '{"family": "%s", "params": [%s], "raw_q": %d}'
+_RECORD_JSON = '{"certified_multiplicity": %d, "lens": {"p": %d, "q_canonical": %d}, "members": [%s], "slope": "%d/%d"}'
 
 
 # Each shard sets up the slope window of every (k, a, eps) of
@@ -191,6 +197,42 @@ def _shards(config: SearchConfig, workers: int) -> list[tuple]:
     return [(config, lo, lo + width) for lo in range(1, config.order_max + 1, width)]
 
 
+def _record_key(record: CoincidenceRecord) -> tuple:
+    return record.slope.m, record.slope.n, record.lens_class[1]
+
+
+def _records(config: SearchConfig):
+    """The records of ``find_coincidences``, in its order, shard by shard.
+
+    Each shard's records are sorted on their own and yielded before the next
+    shard runs (in this process) or is taken from the pool, whose ``map``
+    yields in task order; as shards are increasing ranges of m, that is the
+    global order.  Closed early, the generator cancels the shards that the
+    pool has not started, so that a closed reader stops the work."""
+    workers = min(config.workers, os.cpu_count() or 1)
+    tasks = _shards(config, workers)
+    workers = min(workers, len(tasks))
+    if workers == 1:
+        for task in tasks:
+            yield from sorted(_shard_records(task), key=_record_key)
+        return
+    # imported here, so that a sequential search or any other query never loads them
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # a forked child inherits only the forking thread, so with others alive fork may deadlock
+    context = multiprocessing.get_context("spawn") if threading.active_count() > 1 else None
+    pool = ProcessPoolExecutor(workers, mp_context=context)
+    try:
+        parts = pool.map(_shard_records, tasks)  # every task is queued here
+        for part in parts:
+            yield from sorted(part, key=_record_key)
+    finally:
+        # closed early, cancel the shards not yet started, since shutdown waits for every queued
+        # one; ``parts`` would cancel them only when it is collected, after this
+        pool.shutdown(cancel_futures=True)
+
+
 def find_coincidences(config: SearchConfig) -> list[CoincidenceRecord]:
     """Group the candidates by (slope, lens class); keep groups of >= 2 knots.
 
@@ -199,10 +241,13 @@ def find_coincidences(config: SearchConfig) -> list[CoincidenceRecord]:
     over a pool of at most ``os.cpu_count()`` workers.  The worker count is
     capped first, and then sets the layout: in this process each shard is
     max(4096, 16 * isqrt(order_max)) orders wide, the last one cut at
-    order_max; a pool gets at least 16 shards, none wider.  The enumeration
-    lists each knot once, in canonical parameters, so no group holds one
-    knot twice.  Pairs whose non-equivalence cannot be certified stay in the
-    record and are accounted for by ``certified_multiplicity``.
+    order_max; a pool gets at least 16 shards, none wider.  The records come
+    sorted by (m, n, q_min) of their slope m/n and class L(m, q_min), one
+    shard after another, so a caller that iterates ``_records`` instead holds
+    one shard's records at a time.  The enumeration lists each knot once, in
+    canonical parameters, so no group holds one knot twice.  Pairs whose
+    non-equivalence cannot be certified stay in the record and are accounted
+    for by ``certified_multiplicity``.
 
     The pool starts its workers by the platform's default method while
     the caller runs one thread, and by spawn while it runs more, since a
@@ -213,22 +258,7 @@ def find_coincidences(config: SearchConfig) -> list[CoincidenceRecord]:
     main module, so a script that may spawn its workers makes the call
     under ``if __name__ == "__main__":``.
     """
-    workers = min(config.workers, os.cpu_count() or 1)
-    tasks = _shards(config, workers)
-    workers = min(workers, len(tasks))
-    if workers == 1:
-        records = [record for task in tasks for record in _shard_records(task)]
-    else:
-        # imported here, so that a sequential search or any other query never loads them
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        # a forked child inherits only the forking thread, so with others alive fork may deadlock
-        context = multiprocessing.get_context("spawn") if threading.active_count() > 1 else None
-        with ProcessPoolExecutor(workers, mp_context=context) as pool:
-            records = [record for part in pool.map(_shard_records, tasks) for record in part]
-    records.sort(key=lambda r: (r.slope.m, r.slope.n, r.lens_class[1]))
-    return records
+    return list(_records(config))
 
 
 def _fibonacci_tori(n, fib):

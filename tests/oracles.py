@@ -10,11 +10,14 @@ the torus and cable search rows one knot at a time, as the search did
 before it probed runs of them.  ``identity_holds`` evaluates a sequence
 identity from ``fib`` and ``pair`` at each index on its own, and
 ``verify_witness`` writes a verify witness text by text, as the library did
-before it walked the one and templated the other."""
+before it walked the one and templated the other.  ``record_json`` writes a
+search record through a dict and ``json.dumps``, as the library did before
+it filled one template."""
 
 from __future__ import annotations
 
 import itertools
+import json
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -387,3 +390,17 @@ def verify_witness(first: tuple, second: tuple, den: int, m: int, q1: int, q2: i
     slope_m, slope_n = _reduced_slope(m, den)
     return (f"{_knot_text(*first)} & {_knot_text(*second)} @ {slope_m}/{slope_n} -> "
             f"{_lens_text(m, q1)} ~ {_lens_text(m, q2)}")
+
+
+def record_json(record) -> str:
+    """The JSON line of a ``search.CoincidenceRecord``, by ``json.dumps`` of its dict."""
+    obj = {
+        "slope": str(record.slope),
+        "lens": {"p": record.lens_class[0], "q_canonical": record.lens_class[1]},
+        "members": [
+            {"family": knot.family, "params": list(knot.params), "raw_q": space.q}
+            for knot, space in record.members
+        ],
+        "certified_multiplicity": record.certified_multiplicity,
+    }
+    return json.dumps(obj, sort_keys=True)

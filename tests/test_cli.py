@@ -2,7 +2,9 @@ import argparse
 import contextlib
 import hashlib
 import json
+import os
 import re
+import signal
 import subprocess
 import sys
 import threading
@@ -16,7 +18,8 @@ from lenspairs import cli, knots, search
 from lenspairs.cli import build_parser, run
 from lenspairs.search import FamilyCheck, FamilyReport, SearchConfig
 from lenspairs.sequences import IDENTITIES, fib
-from test_pins import DIGESTS, fresh_env, run_fresh
+from test_pins import DIGESTS, SEARCH_CI, fresh_env, run_fresh
+from test_search import CI_BOUNDS
 
 HAS_DIGIT_LIMIT = hasattr(sys, "get_int_max_str_digits")
 
@@ -198,9 +201,9 @@ def test_search_flag_defaults_are_the_config_defaults(monkeypatch, capsys):
 
     def capture(config):
         seen.append(config)
-        return []
+        yield from ()
 
-    monkeypatch.setattr("lenspairs.search.find_coincidences", capture)
+    monkeypatch.setattr("lenspairs.search._records", capture)
     assert run(["search"]) == 0
     capsys.readouterr()
     assert seen == [SearchConfig()]
@@ -267,7 +270,7 @@ def test_search_out_to_missing_directory_is_a_usage_error(tmp_path, capsys, monk
     def no_search(config):
         raise AssertionError("searched before opening --out")
 
-    monkeypatch.setattr("lenspairs.search.find_coincidences", no_search)
+    monkeypatch.setattr("lenspairs.search._records", no_search)
     out_file = tmp_path / "missing" / "records.jsonl"
     assert run(["search", "--order-max", "50", "--out", str(out_file)]) == 2
     err = capsys.readouterr().err
@@ -506,3 +509,51 @@ def test_verify_output_bytes(family, span, capsys):
     for argv in (("verify", family, "--range", span), ("--jsonl", "verify", family, "--range", span)):
         assert run(list(argv)) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == DIGESTS[argv]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_search_streams_the_records_of_find_coincidences(workers, tmp_path, capsys):
+    # the lines written shard by shard are those of the records listed at once, and --out gets each too
+    out_file = tmp_path / "records.jsonl"
+    argv = ["--jsonl", "search", *SEARCH_CI.split(), "--workers", str(workers), "--out", str(out_file)]
+    assert run(argv) == 0
+    out, err = capsys.readouterr()
+    records = search.find_coincidences(SearchConfig(**CI_BOUNDS, workers=workers))
+    assert out == "".join(record.to_json() + "\n" for record in records)
+    assert out_file.read_text() == out
+    assert err == f"{len(records)} coincidence records, largest certified-distinct group: 2\n"
+
+
+@pytest.mark.parametrize("jsonl", [["--jsonl"], []])
+def test_a_closed_stdout_stops_search_after_its_first_shard(monkeypatch, tmp_path, jsonl):
+    shards, shard_records = [], search._shard_records
+    monkeypatch.setattr(search, "_shard_records", lambda task: shards.append(task[1:]) or shard_records(task))
+    monkeypatch.setattr(sys, "stdout", _Sink(lines=1))
+    out_file = tmp_path / "records.jsonl"
+    with pytest.raises(BrokenPipeError):
+        run([*jsonl, "search", *SEARCH_CI.split(), "--workers", "1", "--out", str(out_file)])
+    assert shards == [(1, 1 + search._SHARD_WIDTH)]  # of 13
+    # --out holds the records written before the pipe closed: the second meets it on stdout
+    first = search.find_coincidences(SearchConfig(**CI_BOUNDS))[:2]
+    assert out_file.read_text() == "".join(record.to_json() + "\n" for record in first)
+
+
+def test_a_closed_pipe_stops_a_search_far_too_long_to_finish():
+    # the first line comes after one shard, so `| head -1` ends a search of minutes; a pool that
+    # waited for its queued shards would still be running at the deadline
+    bounds = "--order-max 30000000 --torus-max 30000000 --cable-max 30000000 --kplus-max 300 --tangle-max 200"
+    argv = [sys.executable, "-m", "lenspairs", "--jsonl", "search", *bounds.split(), "--workers", "2"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=fresh_env(),
+                            start_new_session=True)
+    deadline = threading.Timer(20, os.killpg, (proc.pid, signal.SIGKILL))  # the pool workers too
+    deadline.start()
+    try:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == 141
+    finally:
+        deadline.cancel()
+    assert first.decode() == search.find_coincidences(SearchConfig(**CI_BOUNDS))[0].to_json() + "\n"
+    assert err == b""  # no summary line

@@ -196,6 +196,17 @@ def test_ci_bound_jsonl_bytes(ci_records):
     assert digest == DIGESTS[("--jsonl", "search", *SEARCH_CI.split(), "--workers", "1")]
 
 
+def test_record_json_matches_json_dumps(ci_records):
+    # the template writes every CI-bound record as json.dumps writes its dict
+    assert [record.to_json() for record in ci_records] == [oracles.record_json(record) for record in ci_records]
+
+
+def test_family_names_need_no_json_escape():
+    # the record template writes a family name raw between quotes
+    for name in FAMILIES:
+        assert json.dumps(name) == f'"{name}"'
+
+
 def test_ci_bound_search_leaves_the_cyclic_gc_idle():
     # a shard keeps plain ints per row, which the collector does not track; a
     # tuple kept per row made this search run over a thousand generation-0 collections

@@ -50,6 +50,17 @@ VERIFY_STREAM = "tests/test_cli.py::test_verify_streams_the_lines_of_its_report"
 VERIFY_ORDER = "tests/test_search.py::test_verify_family_checks_each_n_once_in_increasing_order"
 PLANTED_SLOPE = "tests/test_search.py::test_verify_witness_writes_the_slope_and_spaces_as_their_objects_do"
 WITNESS_ORACLE = "tests/test_search.py::test_verify_witnesses_match_the_oracle_text_by_text"
+SEARCH_STREAM = "tests/test_cli.py::test_search_streams_the_records_of_find_coincidences"
+SEARCH_CI_BYTES = "tests/test_search.py::test_ci_bound_jsonl_bytes"
+# the two closed forms of an irregular row's q_min in a block t >= 2, and the text between them
+LOW_END, HIGH_END = "q_min = k * s * r - eps * t  # z", "q_min = k * s * (a - r) + eps * (t + 1)  # m - z"
+BETWEEN_ENDS = (
+    "\n                            yield q_min * scale + (ka * s + eps) * base + den, ident + step * s"
+    "\n                    for s in range(c + 1, high + 1):"
+    "\n                        r = s - ta"
+    "\n                        if gcd(a, r) == 1:"
+    "\n                            "
+)
 
 MUTANTS = (
     Mutant("run member without its gcd", KNOTS,
@@ -176,6 +187,28 @@ MUTANTS = (
     Mutant("walked pell_cross flips the sign of its left side", SEQUENCES,
            "return 2 * a * (a + a + b) - sign ==", "return 2 * a * (a + a + b) + sign ==",
            ("tests/test_sequences.py::test_walked_identities_match_the_oracle",)),
+    Mutant("irregular rows of a block take each other's closed form", KNOTS,
+           LOW_END + BETWEEN_ENDS + HIGH_END, HIGH_END + BETWEEN_ENDS + LOW_END,
+           ("tests/test_family_table.py::test_product_rows_class_minimum_matches_pow",)),
+    Mutant("record template drops the space after raw_q's colon", SEARCH,
+           '"raw_q": %d}', '"raw_q":%d}', ("tests/test_search.py::test_record_json_matches_json_dumps",)),
+    Mutant("sequential search yields each shard's records unsorted", SEARCH,
+           "yield from sorted(_shard_records(task), key=_record_key)", "yield from _shard_records(task)",
+           (SEARCH_CI_BYTES, "tests/test_cli.py::test_search_text_output")),
+    Mutant("pooled search yields each shard's records unsorted", SEARCH,
+           "yield from sorted(part, key=_record_key)", "yield from part", (SEARCH_CI_BYTES, SEARCH_STREAM)),
+    Mutant("a closed search waits for every queued shard", SEARCH,
+           "pool.shutdown(cancel_futures=True)", "pool.shutdown(cancel_futures=False)",
+           ("tests/test_cli.py::test_a_closed_pipe_stops_a_search_far_too_long_to_finish",)),
+    Mutant("search lists every record before its first line", CLI,
+           "contextlib.closing(search._records(config)) as records",
+           "contextlib.nullcontext(search.find_coincidences(config)) as records",
+           ("tests/test_cli.py::test_a_closed_stdout_stops_search_after_its_first_shard",)),
+    Mutant("search writes --out only for the first shard", CLI,
+           "            if handle is not None:\n                handle.write(line)",
+           "            if handle is not None and record.slope.m <= search._SHARD_WIDTH:"
+           "\n                handle.write(line)",
+           (SEARCH_STREAM,)),
     Mutant("identities accepts a range of 0", CLI,
            "if args.range < 1:", "if args.range < 0:",
            ("tests/test_cli.py::test_identities_below_one_is_a_usage_error",)),
