@@ -243,9 +243,8 @@ def find_coincidences(config: SearchConfig) -> list[CoincidenceRecord]:
     max(4096, 16 * isqrt(order_max)) orders wide, the last one cut at
     order_max; a pool gets at least 16 shards, none wider.  The records come
     sorted by (m, n, q_min) of their slope m/n and class L(m, q_min), one
-    shard after another, so a caller that iterates ``_records`` instead holds
-    one shard's records at a time.  The enumeration lists each knot once, in
-    canonical parameters, so no group holds one knot twice.  Pairs whose
+    shard after another.  The enumeration lists each knot once, in canonical
+    parameters, so no group holds one knot twice.  Pairs whose
     non-equivalence cannot be certified stay in the record and are accounted
     for by ``certified_multiplicity``.
 
