@@ -162,36 +162,27 @@ def _cmd_identities(args) -> int:
     return 0 if failed == 0 else 1
 
 
-def _verify_lines(family: str, checks):
-    """Each check as the line, newline included, that ``json.dumps`` writes
+def _verify_line(name: str, check) -> str:
+    """The check as the line, newline included, that ``json.dumps`` writes
     for {"family", "n", "passed", "witness"}: inside a dict, json writes a
     str as ``json.dumps`` of that str, an int by ``repr`` and a bool as true
-    or false.  Every check is of ``family``, so its name is encoded once.
-    ``json.dumps`` of a str under its default arguments is
+    or false.  ``name`` is ``json.dumps`` of the family, encoded once per
+    command.  ``json.dumps`` of a str under its default arguments is
     ``encode_basestring_ascii`` of it, which the witness takes directly."""
-    name = json.dumps(family)
-    encode = json.encoder.encode_basestring_ascii
-    for check in checks:
-        passed = "true" if check.passed else "false"
-        yield f'{{"family": {name}, "n": {check.n!r}, "passed": {passed}, "witness": {encode(check.witness)}}}\n'
+    passed = "true" if check.passed else "false"
+    witness = json.encoder.encode_basestring_ascii(check.witness)
+    return f'{{"family": {name}, "n": {check.n!r}, "passed": {passed}, "witness": {witness}}}\n'
 
 
 def _cmd_verify(args) -> int:
     # each line is written as its check is made, so memory stays flat in the
     # range and `| head` stops the work; only the counts are kept
-    counts = [0, 0]  # checks passed, checks made
-
-    def counted(checks):
-        for check in checks:
-            counts[0] += check.passed
-            counts[1] += 1
-            yield check
-
-    checks = counted(search._checks(args.family, args.range))
-    lines = _verify_lines(args.family, checks) if args.jsonl else (check.line() + "\n" for check in checks)
-    for line in lines:
-        sys.stdout.write(line)
-    good, total = counts
+    name = json.dumps(args.family)
+    good = total = 0
+    for check in search._checks(args.family, args.range):
+        sys.stdout.write(_verify_line(name, check) if args.jsonl else check.line() + "\n")
+        good += check.passed
+        total += 1
     if not args.jsonl:
         print(search._summary(args.family, good, total))
     return 0 if good == total else 1

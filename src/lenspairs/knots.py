@@ -253,7 +253,7 @@ def _product_rows(offset, width, sign, top, lo, hi, products, runs):
                             if gcd(a, r) == 1:
                                 m = ka * s + eps
                                 z = k * s * r - eps
-                                u = x if x + x < m else m - x
+                                u = m - x  # 2x - m = k*a*(2a - s) - eps >= k*a - 1 >= 1, so m - x < x
                                 v = z if z + z < m else m - z
                                 yield (u if u < v else v) * scale + m * base + den, ident + step * s
                         continue

@@ -21,11 +21,13 @@ candidates as (knot, slope, lens space) objects in a fixed deterministic
 order.
 
 ``verify_family`` checks, instance by instance, the six constructions of
-knot pairs sharing a surgery slope and a lens space; each names its two
-knots as (family, params) ints and the slope denominator, and one that
-follows the Fibonacci or Pell numbers takes them from ``sequences._walk``.
-Its report is built from ``_checks``, which makes one check at a time, so
-that the CLI can write each line as soon as its check is made.
+knot pairs sharing a surgery slope and a lens space; each names its two knot
+families and the slope denominator, and makes each instance's params.  One
+that follows the Fibonacci or Pell numbers makes them from the pair that
+``sequences._walk`` gives, the two torus constructions by the cross pairs of
+``sequences``, which ``identities`` checks.  Its report is built from
+``_checks``, which fills one witness template, one check at a time, so that
+the CLI can write each line as soon as its check is made.
 ``verify_no_nonintegral_pairs`` confirms at desk scale that two distinct
 torus knots never share a lens space under a common slope of denominator
 three or more.  Both take from ``knots._shared_lens_slopes`` the slopes
@@ -58,7 +60,7 @@ from .knots import (
     lens_surgery,
 )
 from .lens import LensSpace, _lens_text
-from .sequences import InvalidIndex, _check_index, _walk
+from .sequences import InvalidIndex, _check_index, _fib_cross, _pell_cross, _walk
 
 __all__ = [
     "CoincidenceRecord",
@@ -260,47 +262,32 @@ def find_coincidences(config: SearchConfig) -> list[CoincidenceRecord]:
     return list(_records(config))
 
 
-def _fibonacci_tori(n, fib):
-    # fib is (F(n), F(n+1)); the knots are torus(a_{n+1}, b_n) and torus(a_n, b_{n+1})
-    # for the pairs (a_n, b_n) = (F(n+2), F(n+1) + F(n+3)) of pair("fibonacci", n)
-    f, f1 = fib
-    f2 = f + f1
-    f3 = f1 + f2
-    return ("torus", (f3, f1 + f3)), ("torus", (f2, f2 + f2 + f3))
-
-
-def _pell_tori(n, pell):
-    # pell is pair("pell", n) = (a, b), and pair("pell", n + 1) is (a + b, 2a + b)
-    a, b = pell
-    return ("torus", (a, a + a + b)), ("torus", (b, a + b))
-
-
 def _fibonacci_cable_kplus(n, fib):
     # fib is (F(n), F(n+1))
     fn, fn1 = fib
     fn2 = fn + fn1
-    return ("cable", (fn, fn2, -1 if n % 2 else 1)), ("kplus", (fn2, fn))
+    return (fn, fn2, -1 if n % 2 else 1), (fn2, fn)
 
 
 # Each verified construction: its first n, its slope denominator, the sequence
-# that ``sequences._walk`` walks for it (or None), and the two knots of instance
-# n as (family, params), from n and, for a walked construction, the walk's pair
-# at n.  ``knots._shared_lens_slopes`` trusts these knots, so each entry proves
-# in its "valid:" comment that both are valid for every n from the first on;
-# tier-1 tests it.
+# that ``sequences._walk`` walks for it (or None), its two knot families, and
+# the two knots' params of instance n, from n and, for a walked construction,
+# the walk's pair at n.  ``knots._shared_lens_slopes`` trusts these knots, so
+# each entry proves in its "valid:" comment that both are valid for every n
+# from the first on; tier-1 tests it.
 _VERIFY = {
     # valid: gcd(F(n+3), F(n+1)) = F(gcd(n+3, n+1)) = 1, and F(n+2), F(n+3) are consecutive
-    "torus_torus": (1, 1, "fibonacci", _fibonacci_tori),
+    "torus_torus": (1, 1, "fibonacci", "torus", "torus", lambda n, fib: _fib_cross(fib)),
     # valid: gcd(a, 2a + b) = gcd(b, a + b) = gcd(a, b) = 1, as b^2 - 2a^2 = +-1
-    "torus_torus_half": (1, 2, "pell", _pell_tori),
+    "torus_torus_half": (1, 2, "pell", "torus", "torus", lambda n, pell: _pell_cross(pell)),
     # valid: 2(2n+1) - (4n+4) = -2 with 2n+1 odd, and 2(n+1) - (2n+1) = 1
-    "torus_cable": (1, 1, None, lambda n: (("torus", (2 * n + 1, 4 * n + 4)), ("cable", (n + 1, 2 * n + 1, 1)))),
+    "torus_cable": (1, 1, None, "torus", "cable", lambda n: ((2 * n + 1, 4 * n + 4), (n + 1, 2 * n + 1, 1))),
     # valid: gcd(F(n), F(n+2)) = F(gcd(n, n+2)) = 1, and F(n) >= 2 from n = 3
-    "cable_kplus": (3, 1, "fibonacci", _fibonacci_cable_kplus),
+    "cable_kplus": (3, 1, "fibonacci", "cable", "kplus", _fibonacci_cable_kplus),
     # valid: gcd(3n+1, 3n+4) = gcd(3n+1, 3) = 1
-    "tangle_kplus": (1, 1, None, lambda n: (("tangleHH", (n,)), ("kplus", (3 * n + 1, 3 * n + 4)))),
+    "tangle_kplus": (1, 1, None, "tangleHH", "kplus", lambda n: ((n,), (3 * n + 1, 3 * n + 4))),
     # valid: 6n+7 - 2(3n+2) = 3, which does not divide 3n+2
-    "torus_tangle": (1, 1, None, lambda n: (("torus", (3 * n + 2, 6 * n + 7)), ("tangleTH", (n,)))),
+    "torus_tangle": (1, 1, None, "torus", "tangleTH", lambda n: ((3 * n + 2, 6 * n + 7), (n,))),
 }
 
 VERIFY_FAMILIES = tuple(_VERIFY)
@@ -338,10 +325,10 @@ class FamilyReport:
 
 
 def _instances(family: str, ns):
-    """The two knots of each instance n of ns, in turn, as (family, params)
-    pairs; ns are ints from the construction's first n on."""
-    _, _, walk, knots_of = _VERIFY[family]
-    return map(knots_of, ns, _walk(walk, ns)) if walk else map(knots_of, ns)
+    """The params of the two knots of each instance n of ns, in turn; ns are
+    ints from the construction's first n on."""
+    _, _, walk, _, _, params_of = _VERIFY[family]
+    return map(params_of, ns, _walk(walk, ns)) if walk else map(params_of, ns)
 
 
 def _checks(family: str, n_range):
@@ -350,7 +337,7 @@ def _checks(family: str, n_range):
     # as it is, reversed if its step is negative, and never listed.
     if family not in _VERIFY:
         raise InvalidIndex(f"unknown verification family {family!r}")
-    low, den, _, _ = _VERIFY[family]
+    low, den, _, family1, family2, _ = _VERIFY[family]
     if isinstance(n_range, range):
         ns = n_range if n_range.step > 0 else n_range[::-1]
     else:
@@ -362,11 +349,11 @@ def _checks(family: str, n_range):
         raise InvalidIndex("empty index range")
     if ns[0] < low:
         raise InvalidIndex(f"{family} needs n >= {low}, got {ns[0]}")
-    # one witness format per pair of knot families, from their knot texts and the layout
+    # one witness format, from the two families' knot texts and the layout
     # "@ m/n -> L(m,q1) ~ L(m,q2)", so that each line takes one str(m) and one % format
     lens = _lens_text("%s", "%s")
-    templates = {}
-    for n, ((family1, params1), (family2, params2)) in zip(ns, _instances(family, ns)):
+    template = f"{_TABLE[family1].text} & {_TABLE[family2].text} @ %s/%s -> {lens} ~ {lens}"
+    for n, (params1, params2) in zip(ns, _instances(family, ns)):
         shared = _shared_lens_slopes(family1, params1, family2, params2, (den,))
         if len(shared) != 1:
             knots = f"{_knot_text(family1, params1)} & {_knot_text(family2, params2)}"
@@ -374,10 +361,6 @@ def _checks(family: str, n_range):
             continue
         ((_, m, q1, q2, same),) = shared
         ok = same and _distinct(family1, params1, family2, params2) == "distinct"
-        template = templates.get((family1, family2))
-        if template is None:
-            texts = f"{_TABLE[family1].text} & {_TABLE[family2].text}"
-            template = templates[family1, family2] = f"{texts} @ %s/%s -> {lens} ~ {lens}"
         slope_m, slope_n = _reduced_slope(m, den) if den > 1 else (m, 1)  # m/1 is reduced
         # m is written once, for the slope when it is the slope's numerator and for both lens spaces
         text = str(m)

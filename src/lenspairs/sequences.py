@@ -10,7 +10,10 @@ constructions:
 
 ``_walk`` gives the Fibonacci pair (F(n), F(n+1)) or the pell pair at each
 n of a list, one addition step apart while n runs consecutively, for the
-verified constructions of ``search``.
+verified constructions of ``search``.  ``_fib_cross`` and ``_pell_cross``
+make the factor pairs of the two cross identities from those walked pairs:
+they are the torus parameters of ``torus_torus`` and ``torus_torus_half``,
+which ``verify`` prints and ``identities`` checks.
 
 ``check_identity`` evaluates both sides of the closed-form identities these
 sequences satisfy and reports equality, exactly and with no tolerance; the
@@ -124,6 +127,22 @@ def _walk(family: str, ns):
         yield a, b
 
 
+def _fib_cross(walked):
+    # fib_cross's factor pairs (a(n+1), b(n)) and (a(n), b(n+1)) from (F(n), F(n+1)),
+    # a(n) = F(n+2) and b(n) = F(n+1) + F(n+3): the torus knots of torus_torus
+    f, f1 = walked
+    f2 = f + f1
+    f3 = f1 + f2
+    return (f3, f1 + f3), (f2, f2 + f2 + f3)
+
+
+def _pell_cross(walked):
+    # pell_cross's factor pairs (a(n), b(n+1)) and (b(n), a(n+1)) from (a(n), b(n)),
+    # pair("pell", n + 1) being (a + b, 2a + b): the torus knots of torus_torus_half
+    a, b = walked
+    return (a, a + a + b), (b, a + b)
+
+
 def _holds(name: str, n: int, walked: tuple[int, int]) -> bool:
     """Both sides of the named identity at n, from the pair that ``_walk`` gives
     at n: (F(n), F(n+1)) for the Fibonacci identities and (a_n, b_n) for the
@@ -133,15 +152,11 @@ def _holds(name: str, n: int, walked: tuple[int, int]) -> bool:
         f, f1 = walked
         return (f1 - f) * f1 - f * f == sign
     if name == "fib_cross":
-        # a(n) = F(n+2), b(n) = F(n+1) + F(n+3), a(n+1) = F(n+3), b(n+1) = F(n+2) + F(n+4)
-        f, f1 = walked
-        f2 = f + f1
-        f3 = f1 + f2
-        return f3 * (f1 + f3) - sign == f2 * (f2 + f2 + f3) + sign
+        (a1, b0), (a0, b1) = _fib_cross(walked)
+        return a1 * b0 - sign == a0 * b1 + sign
     if name == "pell_cross":
-        # pair("pell", n + 1) is (a + b, 2a + b)
-        a, b = walked
-        return 2 * a * (a + a + b) - sign == 2 * (a + b) * b + sign
+        (a0, b1), (b0, a1) = _pell_cross(walked)
+        return 2 * a0 * b1 - sign == 2 * a1 * b0 + sign
     if name == "pell_product":
         a, b = walked
         a1, b1 = a + b, a + a + b
@@ -171,6 +186,10 @@ def check_identity(name: str, n: int) -> bool:
                   (2 a(n+1) b(n+2) + (-1)^(n+2)) (2 a(n) b(n+1) + (-1)^(n+1))    pell
     fib_quartic   4 F(n)^4 + (-1)^n F(n+2)^2 =
                   (4 F(n) F(n+2) + (-1)^n) (F(n+2)^2 - 4 F(n) F(n+1))
+
+    fib_cross and pell_cross are the slope equations of the ``torus_torus``
+    and ``torus_torus_half`` constructions of ``search``: at n = 1,
+    3*4 + 1 = 2*7 - 1 = 13 and 2*2*7 + 1 = 2*3*5 - 1 = 29.
 
     n must be an int at least the identity's first index in ``IDENTITIES``.
     """

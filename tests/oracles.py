@@ -12,7 +12,10 @@ identity from ``fib`` and ``pair`` at each index on its own, and
 ``verify_witness`` writes a verify witness text by text, as the library did
 before it walked the one and templated the other.  ``record_json`` writes a
 search record through a dict and ``json.dumps``, as the library did before
-it filled one template."""
+it filled one template.  ``guess_recurrence`` and ``proves_zero`` are the
+C-finite ansatz: the one fits a linear recurrence to a sequence by exact
+linear algebra, and the other proves a sequence zero at every index from a
+bound on its order."""
 
 from __future__ import annotations
 
@@ -381,6 +384,57 @@ def identity_holds(name: str, n: int) -> bool:
         sign = (-1) ** n
         return 4 * fn ** 4 + sign * fn2 ** 2 == (4 * fn * fn2 + sign) * (fn2 ** 2 - 4 * fn * fn1)
     raise InvalidIndex(f"unknown identity {name!r}")
+
+
+def guess_recurrence(terms, max_order: int):
+    """The shortest recurrence terms[i + r] = c_0 terms[i] + ... + c_{r-1}
+    terms[i + r - 1] of order r <= max_order that every term of ``terms``
+    satisfies, as the list [c_0, ..., c_{r-1}] of Fractions; [] for all-zero
+    terms, and None when none fits.  The c of each order r are solved from
+    the first 2r terms by Gauss-Jordan elimination over ``Fraction``, and
+    checked on every later term; for a sequence of least order r that r x r
+    Hankel system is regular, so ``terms`` must hold more than 2*max_order
+    terms for a guess to be checked at all."""
+    terms = [Fraction(t) for t in terms]
+    if len(terms) <= 2 * max_order:
+        raise ValueError(f"{len(terms)} terms cannot check a recurrence of order {max_order}")
+    if not any(terms):
+        return []
+    for order in range(1, max_order + 1):
+        rows = [terms[i:i + order + 1] for i in range(order)]  # [coefficients | right-hand side]
+        for col in range(order):
+            pivot = next((row for row in rows[col:] if row[col]), None)
+            if pivot is None:
+                break
+            rows.remove(pivot)
+            pivot = [value / pivot[col] for value in pivot]
+            rows.insert(col, pivot)
+            rows = [row if row is pivot else [value - row[col] * p for value, p in zip(row, pivot)]
+                    for row in rows]
+        else:
+            coeffs = [row[order] for row in rows]
+            if all(sum(c * t for c, t in zip(coeffs, terms[i:])) == terms[i + order]
+                   for i in range(len(terms) - order)):
+                return coeffs
+    return None
+
+
+def proves_zero(terms, order: int) -> bool:
+    """Whether ``terms``, a sequence's values at consecutive indices from its
+    first, prove it zero at every index, given that it satisfies a linear
+    recurrence with constant coefficients of order at most ``order``: each
+    term from the order-th on is a combination of the ``order`` before it, so
+    ``order`` zeros from the first make every later term zero (Zeilberger,
+    "The C-finite ansatz", Ramanujan J. 31, 2013).  A nonzero term after
+    ``order`` zeros disproves the bound, which raises ValueError."""
+    terms = list(terms)
+    if len(terms) < order:
+        raise ValueError(f"{len(terms)} terms cannot fix a sequence of order {order}")
+    if any(terms[:order]):
+        return False
+    if any(terms):
+        raise ValueError(f"{order} zeros and then a nonzero term: the order bound {order} is wrong")
+    return True
 
 
 def verify_witness(first: tuple, second: tuple, den: int, m: int, q1: int, q2: int) -> str:

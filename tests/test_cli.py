@@ -425,7 +425,7 @@ def test_verify_lines_are_json_dumps_of_each_check(family, checks):
             json.dumps({"family": family, "n": n, "passed": passed, "witness": witness}) + "\n"
             for n, passed, witness in checks
         ]
-        assert list(cli._verify_lines(report.family, report.checks)) == expected
+        assert [cli._verify_line(json.dumps(report.family), check) for check in report.checks] == expected
 
 
 
@@ -436,14 +436,24 @@ def _verify_spans():
         yield family, f"{low}..{low + 11}", range(low, low + 12)
 
 
+# for each pair of families of a construction, two knots that share no lens slope at den 1 or 2
+_SHARING_NONE = {
+    ("torus", "torus"): ((2, 3), (2, 5)),
+    ("torus", "cable"): ((2, 3), (2, 3, 1)),
+    ("torus", "tangleTH"): ((2, 3), (1,)),
+    ("cable", "kplus"): ((2, 3, 1), (1, 2)),
+    ("tangleHH", "kplus"): ((1,), (1, 2)),
+}
+
+
 def _with_a_failing_instance(monkeypatch, family, bad_n):
-    # instance bad_n of family becomes torus(2,3) & torus(2,5), which share no lens slope
-    low, den, walk, knots_of = search._VERIFY[family]
+    # instance bad_n of family becomes two knots of its families that share no lens slope
+    low, den, walk, first, second, params_of = search._VERIFY[family]
 
     def failing(n, *walked):
-        return (("torus", (2, 3)), ("torus", (2, 5))) if n == bad_n else knots_of(n, *walked)
+        return _SHARING_NONE[first, second] if n == bad_n else params_of(n, *walked)
 
-    monkeypatch.setitem(search._VERIFY, family, (low, den, walk, failing))
+    monkeypatch.setitem(search._VERIFY, family, (low, den, walk, first, second, failing))
 
 
 @pytest.mark.parametrize("family,span,ns", _verify_spans())
@@ -495,8 +505,8 @@ def test_verify_memory_is_flat_in_the_range(monkeypatch, jsonl):
 @pytest.mark.parametrize("jsonl", [["--jsonl"], []])
 def test_a_closed_stdout_stops_verify_at_once(monkeypatch, jsonl):
     built = []
-    low, den, walk, knots_of = search._VERIFY["torus_cable"]
-    monkeypatch.setitem(search._VERIFY, "torus_cable", (low, den, walk, lambda n: built.append(n) or knots_of(n)))
+    *row, params_of = search._VERIFY["torus_cable"]
+    monkeypatch.setitem(search._VERIFY, "torus_cable", (*row, lambda n: built.append(n) or params_of(n)))
     monkeypatch.setattr(sys, "stdout", _Sink(lines=1))
     with pytest.raises(BrokenPipeError):
         run([*jsonl, "verify", "torus_cable", "--range", "1..10000"])

@@ -316,11 +316,12 @@ def assert_constructions_valid(family, ns=None):
     """Both knots of each instance n of ``ns``, by default every n from the
     construction's first to 3000, pass ``_check_knot``; the first knot is
     checked first."""
+    low, _, _, first, second, _ = search._VERIFY[family]
     if ns is None:
-        ns = range(search._VERIFY[family][0], 3001)
-    for first, second in search._instances(family, ns):
-        _check_knot(*first)
-        _check_knot(*second)
+        ns = range(low, 3001)
+    for params1, params2 in search._instances(family, ns):
+        _check_knot(first, params1)
+        _check_knot(second, params2)
 
 
 @pytest.mark.parametrize("family", VERIFY_FAMILIES)

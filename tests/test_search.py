@@ -530,8 +530,8 @@ def test_verify_family_takes_no_modular_inverse(monkeypatch):
 
 @pytest.mark.parametrize("knots,shared", [((torus(2, 3), torus(2, 5)), 0), ((torus(2, 3), torus(2, 3)), 2)])
 def test_verify_fails_unless_exactly_one_shared_slope(monkeypatch, capsys, knots, shared):
-    instance = tuple((knot.family, knot.params) for knot in knots)
-    monkeypatch.setitem(search._VERIFY, "torus_torus", (1, 1, None, lambda n: instance))
+    params = tuple(knot.params for knot in knots)
+    monkeypatch.setitem(search._VERIFY, "torus_torus", (1, 1, None, "torus", "torus", lambda n: params))
     report = verify_family("torus_torus", range(1, 3))
     assert not report.passed
     assert [check.passed for check in report.checks] == [False, False]
@@ -552,7 +552,8 @@ def test_verify_raises_what_a_knot_descriptor_raises(monkeypatch, instance, culp
     # verify trusts the knots that ``search._VERIFY`` builds, so a construction
     # edited to name an invalid knot is caught by the tier-1 oracle over its
     # instances, which raises what the knot's descriptor raises
-    monkeypatch.setitem(search._VERIFY, "torus_torus", (1, 1, None, lambda n: instance))
+    (first, params1), (second, params2) = instance
+    monkeypatch.setitem(search._VERIFY, "torus_torus", (1, 1, None, first, second, lambda n: (params1, params2)))
     with pytest.raises(InvalidKnot) as expected:
         KnotDescriptor(*instance[culprit])
     with pytest.raises(InvalidKnot) as raised:
@@ -616,7 +617,7 @@ def _tangles_sharing(monkeypatch, m, q1, q2, den):
     for family, q in (("tangleHH", q1), ("tangleTH", q2)):
         slopes = lambda den, n, q=q: ((m, q),)
         monkeypatch.setitem(knots._TABLE, family, dataclasses.replace(knots._TABLE[family], slopes=slopes))
-    monkeypatch.setitem(search._VERIFY, "torus_tangle", (1, den, None, lambda n: (("tangleHH", (n,)), ("tangleTH", (n,)))))
+    monkeypatch.setitem(search._VERIFY, "torus_tangle", (1, den, None, "tangleHH", "tangleTH", lambda n: ((n,), (n,))))
 
 
 @pytest.mark.parametrize("m,q1,q2,error", [
@@ -654,17 +655,23 @@ def test_verify_witness_writes_the_slope_and_spaces_as_their_objects_do(monkeypa
 def test_verify_witnesses_match_the_oracle_text_by_text(monkeypatch):
     # the phi certificate, which takes a minute over cable_kplus to n = 2000, writes no text
     monkeypatch.setattr(search, "_distinct", lambda *knots: "distinct")
-    for family, (low, den, *_) in search._VERIFY.items():
+    for family, (low, den, _, family1, family2, _) in search._VERIFY.items():
         ns = range(low, 2001)
-        for n, (first, second), check in zip(ns, search._instances(family, ns), search._checks(family, ns), strict=True):
+        for n, (params1, params2), check in zip(ns, search._instances(family, ns), search._checks(family, ns),
+                                                strict=True):
+            first, second = (family1, params1), (family2, params2)
             ((_, m, q1, q2, _),) = knots._shared_lens_slopes(*first, *second, (den,))
             assert check.witness == oracles.verify_witness(first, second, den, m, q1, q2), (family, n)
-    # a planted instance of two torus knots writes its own knots among those of its construction
-    low, den, walk, knots_of = search._VERIFY["tangle_kplus"]
+    # a planted instance writes its own knots among those of its construction: torus_torus
+    # at n = 2 plants its own instance 1
+    *row, params_of = search._VERIFY["torus_torus"]
     planted = (("torus", (3, 4)), ("torus", (2, 7)))
-    monkeypatch.setitem(search._VERIFY, "tangle_kplus", (low, den, walk, lambda n: planted if n == 2 else knots_of(n)))
-    first, torus_torus, third = (check.witness for check in search._checks("tangle_kplus", range(1, 4)))
+    monkeypatch.setitem(search._VERIFY, "torus_torus",
+                        (*row, lambda n, fib: (planted[0][1], planted[1][1]) if n == 2 else params_of(n, fib)))
+    _, torus_torus, third = (check.witness for check in search._checks("torus_torus", range(1, 4)))
     assert torus_torus == oracles.verify_witness(*planted, 1, 13, 3, 10) == "torus(3,4) & torus(2,7) @ 13/1 -> L(13,3) ~ L(13,10)"
+    assert third.startswith("torus(8,11) & torus(5,18) @ ")
+    first, _, third = (check.witness for check in search._checks("tangle_kplus", range(1, 4)))
     assert first == "tangleHH(1) & kplus(4,7) @ 93/1 -> L(93,67) ~ L(93,25)"
     assert third.startswith("tangleHH(3) & kplus(10,13) @ ")
 

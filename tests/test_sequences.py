@@ -5,8 +5,19 @@ import hypothesis
 import hypothesis.strategies as st
 import pytest
 
-from lenspairs.sequences import IDENTITIES, InvalidIndex, _failures, _fib_pair, _walk, check_identity, fib, pair
-from oracles import fib_loop, identity_holds, pell_loop
+from lenspairs.sequences import (
+    IDENTITIES,
+    InvalidIndex,
+    _failures,
+    _fib_cross,
+    _fib_pair,
+    _pell_cross,
+    _walk,
+    check_identity,
+    fib,
+    pair,
+)
+from oracles import fib_loop, guess_recurrence, identity_holds, pell_loop, proves_zero
 
 
 def test_fib_values():
@@ -163,3 +174,61 @@ def test_walked_identities_match_the_oracle(name):
 def test_check_identity_matches_the_oracle(name, n):
     hypothesis.assume(n >= IDENTITIES[name])
     assert check_identity(name, n) == identity_holds(name, n)
+
+
+# The cross identities for every n.  Write rho, sigma = (1 +- sqrt 5)/2 for fib_cross and
+# 1 +- sqrt 2 for pell_cross.  By Binet, a(n) = F(n+2) = (rho^(n+2) - sigma^(n+2))/sqrt 5 and
+# b(n) = L(n+2) = rho^(n+2) + sigma^(n+2); for pell, b(n) + a(n) sqrt 2 = rho^(n+1), so a(n) and
+# b(n) are (rho^(n+1) -+ sigma^(n+1)) over 2 sqrt 2 and 2.  A product of two such terms, at
+# indices n + i and n + j, lies in the span of rho^(2n), (rho sigma)^n and sigma^(2n), and so
+# does (-1)^n = (rho sigma)^n, since rho sigma = -1 in both.  So each side of either identity,
+# and their difference, satisfies the recurrence whose characteristic polynomial is
+# (x - rho^2)(x + 1)(x - sigma^2), of order at most 3: with rho^2 + sigma^2 = 3 and 6, that is
+# (x + 1)(x^2 - 3x + 1) and (x + 1)(x^2 - 6x + 1).
+CROSS_ORDER = 3
+CROSS = {"fib_cross": ("fibonacci", _fib_cross, 1, [-1, 3]), "pell_cross": ("pell", _pell_cross, 2, [-1, 6])}
+
+
+def _cross_sides(name, factor, ns):
+    """The two sides of the cross identity at each n of ns, from the factor pairs
+    that verify prints, with the products scaled by ``factor``."""
+    sequence, cross, _, _ = CROSS[name]
+    sides = []
+    for n, walked in zip(ns, _walk(sequence, ns)):
+        (x1, y1), (x2, y2) = cross(walked)
+        sign = (-1) ** n
+        sides.append((factor * x1 * y1 - sign, factor * x2 * y2 + sign))
+    return [lhs for lhs, _ in sides], [rhs for _, rhs in sides]
+
+
+@pytest.mark.parametrize("name", list(CROSS))
+def test_cross_identities_hold_for_every_n(name):
+    _, _, factor, square_factor = CROSS[name]
+    ns = range(IDENTITIES[name], IDENTITIES[name] + 2 * CROSS_ORDER + 3)
+    lhs, rhs = _cross_sides(name, factor, ns)
+    # the derivation's bound, seen: each side's least recurrence is the factor (x - rho^2)(x - sigma^2)
+    assert guess_recurrence(lhs, CROSS_ORDER) == guess_recurrence(rhs, CROSS_ORDER) == square_factor
+    assert proves_zero([left - right for left, right in zip(lhs, rhs)], CROSS_ORDER)
+    assert _failures(name, ns) == []
+
+
+def test_a_false_cross_identity_is_not_proven():
+    # pell_cross with its factor 2 dropped: the difference, in the same span, is -(-1)^n
+    lhs, rhs = _cross_sides("pell_cross", 1, range(1, 10))
+    assert not proves_zero([left - right for left, right in zip(lhs, rhs)], CROSS_ORDER)
+
+
+def test_c_finite_helpers():
+    fibs = [fib(n) for n in range(12)]
+    assert guess_recurrence(fibs, 3) == [1, 1]
+    assert guess_recurrence([2 ** n + n for n in range(9)], 3) == [2, -5, 4]
+    assert guess_recurrence([0] * 7, 3) == []
+    assert guess_recurrence([2, 3, 5, 7, 11, 13, 17, 19, 23], 3) is None
+    with pytest.raises(ValueError):
+        guess_recurrence(fibs[:6], 3)
+    # (n-1)(n-2)(n-3) from n = 1 has order 4: three zeros, then 6, disprove the bound 3
+    cubic = [(n - 1) * (n - 2) * (n - 3) for n in range(1, 8)]
+    assert guess_recurrence(cubic, 3) is None
+    with pytest.raises(ValueError, match="the order bound 3 is wrong"):
+        proves_zero(cubic, 3)
+    assert proves_zero(cubic, 4) is False

@@ -52,6 +52,7 @@ PLANTED_SLOPE = "tests/test_search.py::test_verify_witness_writes_the_slope_and_
 WITNESS_ORACLE = "tests/test_search.py::test_verify_witnesses_match_the_oracle_text_by_text"
 SEARCH_STREAM = "tests/test_cli.py::test_search_streams_the_records_of_find_coincidences"
 SEARCH_CI_BYTES = "tests/test_search.py::test_ci_bound_jsonl_bytes"
+CROSS_PROOF = "tests/test_sequences.py::test_cross_identities_hold_for_every_n"
 # the two closed forms of an irregular row's q_min in a block t >= 2, and the text between them
 LOW_END, HIGH_END = "q_min = k * s * r - eps * t  # z", "q_min = k * s * (a - r) + eps * (t + 1)  # m - z"
 BETWEEN_ENDS = (
@@ -129,22 +130,25 @@ MUTANTS = (
            "_reduced_slope(m, den) if den > 1 else (m, 1)", "(m, den)", (PLANTED_SLOPE,)),
     Mutant("verify witness reduces its slope only at denominator 1", SEARCH,
            "if den > 1 else (m, 1)", "if den <= 1 else (m, 1)", (PLANTED_SLOPE,)),
+    Mutant("verify witness template swaps the two knot families", SEARCH,
+           "{_TABLE[family1].text} & {_TABLE[family2].text}", "{_TABLE[family2].text} & {_TABLE[family1].text}",
+           (WITNESS_ORACLE, "tests/test_cli.py::test_verify_output_bytes")),
     Mutant("verify witness template swaps the two lens parameters", SEARCH,
            "text, q1, text, q2)", "text, q2, text, q1)",
            (WITNESS_ORACLE, "tests/test_cli.py::test_verify_output_bytes")),
     Mutant("verify lines leave non-ASCII witness text unescaped", CLI,
-           "encode = json.encoder.encode_basestring_ascii", "encode = json.encoder.encode_basestring",
+           "json.encoder.encode_basestring_ascii(check.witness)", "json.encoder.encode_basestring(check.witness)",
            ("tests/test_cli.py::test_verify_lines_are_json_dumps_of_each_check",)),
     Mutant("the table's phi path re-checks its knot and builds a dual triple", DUALKNOT,
            "return _stats(*_kplus_pqk(a, b)).phi >= 2", "return basic_stats(kplus_dual(a, b)).phi >= 2",
            ("tests/test_search.py::test_verify_phi_certificate_builds_no_dual_triple",)),
     Mutant("verify summary counts only the last check as passed", CLI,
-           "counts[0] += check.passed", "counts[0] = check.passed", (VERIFY_STREAM,)),
+           "good += check.passed", "good = check.passed", (VERIFY_STREAM,)),
     Mutant("verify counts only the last check made", CLI,
-           "counts[1] += 1", "counts[1] = 1", (VERIFY_STREAM,)),
+           "total += 1", "total = 1", (VERIFY_STREAM,)),
     Mutant("verify makes every check before its first line", CLI,
-           "checks = counted(search._checks(args.family, args.range))",
-           "checks = counted(tuple(search._checks(args.family, args.range)))",
+           "for check in search._checks(args.family, args.range):",
+           "for check in tuple(search._checks(args.family, args.range)):",
            ("tests/test_cli.py::test_verify_memory_is_flat_in_the_range",
             "tests/test_cli.py::test_a_closed_stdout_stops_verify_at_once")),
     Mutant("verify takes a negative-step range as already sorted", SEARCH,
@@ -185,11 +189,19 @@ MUTANTS = (
            "(certified {record.certified_multiplicity})", "(certified {len(record.members)})",
            ("tests/test_cli.py::test_search_text_output",)),
     Mutant("walked pell_cross flips the sign of its left side", SEQUENCES,
-           "return 2 * a * (a + a + b) - sign ==", "return 2 * a * (a + a + b) + sign ==",
+           "return 2 * a0 * b1 - sign ==", "return 2 * a0 * b1 + sign ==",
            ("tests/test_sequences.py::test_walked_identities_match_the_oracle",)),
+    Mutant("class minimum of a first-block row takes x, which exceeds m - x there", KNOTS,
+           "u = m - x  #", "u = x  #", ("tests/test_family_table.py::test_product_rows_class_minimum_matches_pow",)),
     Mutant("irregular rows of a block take each other's closed form", KNOTS,
            LOW_END + BETWEEN_ENDS + HIGH_END, HIGH_END + BETWEEN_ENDS + LOW_END,
            ("tests/test_family_table.py::test_product_rows_class_minimum_matches_pow",)),
+    Mutant("fib_cross's second pair takes b(n) for b(n+1)", SEQUENCES,
+           "return (f3, f1 + f3), (f2, f2 + f2 + f3)", "return (f3, f1 + f3), (f2, f1 + f3)",
+           (CROSS_PROOF + "[fib_cross]", "tests/test_sequences.py::test_walked_identities_match_the_oracle")),
+    Mutant("pell_cross's second pair takes b(n+1) for a(n+1)", SEQUENCES,
+           "return (a, a + a + b), (b, a + b)", "return (a, a + a + b), (b, a + a + b)",
+           (CROSS_PROOF + "[pell_cross]", "tests/test_sequences.py::test_walked_identities_match_the_oracle")),
     Mutant("record template drops the space after raw_q's colon", SEARCH,
            '"raw_q": %d}', '"raw_q":%d}', ("tests/test_search.py::test_record_json_matches_json_dumps",)),
     Mutant("sequential search yields each shard's records unsorted", SEARCH,
